@@ -8,7 +8,7 @@ then standardized against the background corpus and squashed through a
 sigmoid with a calibratable bias.
 """
 
-from .background import compute_df, fit_standardization, idf_from_df, train
+from .background import compute_df, fit_standardization, train
 from .calibration import (
     CalibrationResult,
     calibrate_fpr,
@@ -35,10 +35,11 @@ from .logreg import (
     save_lr_model,
     train_lr,
 )
-from .model import BackgroundModel, load_model, save_model, set_bias_direct
+from .model import BackgroundModel, idf_from_df, load_model, save_model, set_bias_direct
 from .scoring import (
     ScoreBreakdown,
     raw_score,
+    score_corpus,
     score_document,
     shannon_entropy,
     sigmoid,
@@ -90,6 +91,7 @@ __all__ = [
     "run_experiment2",
     "save_lr_model",
     "save_model",
+    "score_corpus",
     "score_document",
     "set_bias_direct",
     "shannon_entropy",

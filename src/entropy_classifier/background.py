@@ -11,8 +11,8 @@ import math
 
 from .errors import ValidationError
 from .glossary import Glossary, Matcher
-from .model import BackgroundModel
-from .scoring import effective_length, match_distribution, per_keyword_contributions, shannon_entropy
+from .model import BackgroundModel, idf_from_df
+from .scoring import _score_profile
 from .text import Corpus
 
 
@@ -30,41 +30,16 @@ def compute_df(glossary: Glossary, corpus: Corpus) -> tuple[int, dict[int, int]]
     return len(corpus), df
 
 
-def idf_from_df(df: int, n_docs: int) -> float:
-    """Smoothed idf: ln((n_docs+1)/(df+1)) + 1.
-
-    Finite at df=0 and strictly positive, so abundance never degenerates.
-    """
-    if n_docs < 1:
-        raise ValueError(f"n_docs must be >= 1, got {n_docs}")
-    if not (0 <= df <= n_docs):
-        raise ValueError(f"df must be in [0, n_docs], got df={df}, n_docs={n_docs}")
-    return math.log((n_docs + 1) / (df + 1)) + 1.0
-
-
-def _raw_corpus_scores(glossary: Glossary, idf: dict[int, float], k: int,
-                       corpus: Corpus, entropy_weighted: bool) -> list[float]:
-    matcher = Matcher(glossary)
-    scores = []
-    for doc in corpus:
-        tf = matcher.profile(doc.tokens)
-        L = effective_length(len(doc.tokens), k)
-        tfidf_over_L = sum(per_keyword_contributions(tf, idf, L).values())
-        if entropy_weighted:
-            s = shannon_entropy(match_distribution(tf)) * tfidf_over_L
-        else:
-            s = tfidf_over_L
-        scores.append(s)
-    return scores
-
-
 def fit_standardization(glossary: Glossary, idf: dict[int, float], k: int,
                         corpus: Corpus, entropy_weighted: bool = True) -> tuple[float, float]:
     """Mean and population standard deviation (divide by N) of the raw score
     over the background corpus, accumulated in corpus order."""
     if len(corpus) == 0:
         raise ValidationError("background corpus must be non-empty")
-    scores = _raw_corpus_scores(glossary, idf, k, corpus, entropy_weighted)
+    matcher = Matcher(glossary)
+    scores = [_score_profile(matcher.profile(doc.tokens), len(doc.tokens), idf, k,
+                             entropy_weighted)[-1]
+              for doc in corpus]
     n = len(scores)
     mu = math.fsum(scores) / n
     sigma = math.sqrt(math.fsum((s - mu) ** 2 for s in scores) / n)

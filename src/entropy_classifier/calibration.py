@@ -15,12 +15,8 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .glossary import Glossary
 from .model import BackgroundModel
-from .scoring import standardized_scores
+from .scoring import score_corpus, standardized_scores
 from .text import Corpus
-
-# set_bias_direct lives in model.py next to the dataclass; re-exported here
-# because callers think of it as the direct calibration mode.
-from .model import set_bias_direct  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -81,5 +77,4 @@ def measure_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus) -
     """Fraction of negatives the model classifies positive (y >= 0.5)."""
     if len(negatives) == 0:
         raise ValidationError("negative corpus must be non-empty")
-    s_hat = standardized_scores(negatives, glossary, model)
-    return sum(1 for s in s_hat if s >= model.bias) / len(negatives)
+    return sum(1 for b in score_corpus(negatives, glossary, model) if b.positive) / len(negatives)

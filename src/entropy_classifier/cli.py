@@ -6,17 +6,13 @@ at 17 significant digits; diagnostics and human-readable tables go to stderr.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 
 An optional --config file (same key-value line format as model files) can
-supply defaults for scalar options; explicit flags always win. The
-environment variable ENTROPY_CLASSIFIER_THREADS (0 = auto) caps worker
-parallelism; the current pipelines are sequential, so any cap is honored.
+supply defaults for scalar options; explicit flags always win.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .background import train
@@ -36,45 +32,22 @@ from .experiments import (
 from .glossary import load_glossary
 from .logreg import LrParams
 from .model import format_float, load_model, rewrite_bias_line, save_model, set_bias_direct
-from .scoring import score_document
+from .scoring import score_corpus
+# Not called here; perfbench/tracer.py patches it under this module's name.
+from .scoring import score_document  # noqa: F401
 from .stats import recall
 from .text import load_corpus
 
-_CONFIG_KEYS = {
-    "k": int,
-    "target_fpr": float,
-    "format": str,
-    "l2": float,
-    "epochs": int,
-    "learning_rate": float,
+# Options a --config file may set, with their defaults; the type of each
+# default converts the config file's text.
+_CONFIG_DEFAULTS = {
+    "k": 100,
+    "target_fpr": 0.0005,
+    "format": "auto",
+    "l2": 1e-4,
+    "epochs": 500,
+    "learning_rate": 0.5,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved invocation."""
-
-    command: str
-    threads: int
-    k: int = 100
-    target_fpr: float = 0.0005
-    bias: float | None = None
-    explain: bool = False
-    format: str = "auto"
-    output: str | None = None
-    glossary: str | None = None
-    model: str | None = None
-    background: str | None = None
-    input: str | None = None
-    positives: str | None = None
-    negatives: str | None = None
-    out: str | None = None
-    category: str | None = None
-    categories: tuple[tuple[str, ...], ...] = ()
-    tables: tuple[str, ...] = ()
-    l2: float = 1e-4
-    epochs: int = 500
-    learning_rate: float = 0.5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,22 +132,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_threads(raw: str | None) -> int:
-    if raw is None or raw == "":
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"ENTROPY_CLASSIFIER_THREADS must be an integer >= 0, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValidationError(
-            f"ENTROPY_CLASSIFIER_THREADS must be an integer >= 0, got {raw!r}"
-        )
-    return value
-
-
 def _load_config_defaults(path: str) -> dict[str, str]:
     p = Path(path)
     try:
@@ -188,7 +145,7 @@ def _load_config_defaults(path: str) -> dict[str, str]:
         if line.startswith("#") or line.strip() == "":
             continue
         parts = line.split(None, 1)
-        if len(parts) != 2 or parts[0] not in _CONFIG_KEYS:
+        if len(parts) != 2 or parts[0] not in _CONFIG_DEFAULTS:
             raise ValidationError(
                 f"config file {p}: line {lineno}: unknown or malformed record {line!r}"
             )
@@ -196,49 +153,25 @@ def _load_config_defaults(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    defaults = _load_config_defaults(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name: str, fallback):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        if name in defaults:
-            conv = _CONFIG_KEYS[name]
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill options left unset on the command line, first from --config, then
+    from the defaults."""
+    config = _load_config_defaults(args.config) if getattr(args, "config", None) else {}
+    for name, default in _CONFIG_DEFAULTS.items():
+        if getattr(args, name, None) is not None:
+            continue
+        value = default
+        if name in config:
+            conv = type(default)
             try:
-                return conv(defaults[name])
+                value = conv(config[name])
             except ValueError:
                 raise ValidationError(
                     f"config value for {name} is not a valid {conv.__name__}: "
-                    f"{defaults[name]!r}"
+                    f"{config[name]!r}"
                 ) from None
-        return fallback
-
-    categories = getattr(args, "categories", None) or ()
-    tables = getattr(args, "tables", None) or ()
-    return RunConfig(
-        command=args.command,
-        threads=_parse_threads(os.environ.get("ENTROPY_CLASSIFIER_THREADS")),
-        k=pick("k", 100),
-        target_fpr=pick("target_fpr", 0.0005),
-        bias=getattr(args, "bias", None),
-        explain=bool(getattr(args, "explain", False)),
-        format=pick("format", "auto"),
-        output=getattr(args, "output", None),
-        glossary=getattr(args, "glossary", None),
-        model=getattr(args, "model", None),
-        background=getattr(args, "background", None),
-        input=getattr(args, "input", None),
-        positives=getattr(args, "positives", None),
-        negatives=getattr(args, "negatives", None),
-        out=getattr(args, "out", None),
-        category=getattr(args, "category", None) if args.command == "train" else None,
-        categories=tuple(tuple(c) for c in categories),
-        tables=tuple(tables),
-        l2=pick("l2", 1e-4),
-        epochs=pick("epochs", 500),
-        learning_rate=pick("learning_rate", 0.5),
-    )
+        setattr(args, name, value)
+    return args
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -251,47 +184,41 @@ def _emit(text: str, output: str | None) -> None:
         raise InputOutputError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
-def _check_model_glossary(model, glossary) -> None:
-    if glossary.digest() != model.glossary_digest:
-        raise ValidationError("model was trained for a different glossary")
-
-
-def _cmd_train(cfg: RunConfig) -> int:
-    glossary = load_glossary(cfg.glossary, category=cfg.category)
-    corpus = load_corpus(cfg.background, cfg.format)
-    model = train(glossary, corpus, cfg.k)
-    save_model(model, cfg.out)
+def _cmd_train(args: argparse.Namespace) -> int:
+    glossary = load_glossary(args.glossary, category=args.category)
+    corpus = load_corpus(args.background, args.format)
+    model = train(glossary, corpus, args.k)
+    save_model(model, args.out)
     print(
         f"trained category={model.category} n_docs={model.n_docs} "
         f"keywords={len(model.phrases)} mu={model.mu:.6g} sigma={model.sigma:.6g} "
-        f"-> {cfg.out}",
+        f"-> {args.out}",
         file=sys.stderr,
     )
     return 0
 
 
-def _cmd_calibrate(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    if (cfg.bias is None) == (cfg.negatives is None):
+def _cmd_calibrate(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    if (args.bias is None) == (args.negatives is None):
         raise ValidationError("calibrate needs exactly one of --bias or --negatives")
-    if cfg.bias is not None:
-        updated = set_bias_direct(model, cfg.bias)
-        rewrite_bias_line(cfg.model, updated.bias)
-        _emit(f"bias {format_float(updated.bias)}\n", cfg.output)
+    if args.bias is not None:
+        updated = set_bias_direct(model, args.bias)
+        rewrite_bias_line(args.model, updated.bias)
+        _emit(f"bias {format_float(updated.bias)}\n", args.output)
         return 0
-    if cfg.glossary is None:
+    if args.glossary is None:
         raise ValidationError("calibrate --negatives needs --glossary")
-    glossary = load_glossary(cfg.glossary)
-    _check_model_glossary(model, glossary)
-    negatives = load_corpus(cfg.negatives, cfg.format)
-    result = calibrate_fpr(model, glossary, negatives, cfg.target_fpr)
-    rewrite_bias_line(cfg.model, result.bias)
+    glossary = load_glossary(args.glossary)
+    negatives = load_corpus(args.negatives, args.format)
+    result = calibrate_fpr(model, glossary, negatives, args.target_fpr)
+    rewrite_bias_line(args.model, result.bias)
     _emit(
         f"bias {format_float(result.bias)}\n"
         f"achieved_fpr {format_float(result.achieved_fpr)}\n"
         f"target_fpr {format_float(result.target_fpr)}\n"
         f"n_negatives {result.n_negatives}\n",
-        cfg.output,
+        args.output,
     )
     return 0
 
@@ -300,15 +227,13 @@ _SCORE_COLUMNS = ("doc_id", "word_count", "L", "tfidf_over_L", "entropy",
                   "raw_score", "standardized", "probability", "decision")
 
 
-def _cmd_score(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    glossary = load_glossary(cfg.glossary)
-    _check_model_glossary(model, glossary)
-    corpus = load_corpus(cfg.input, cfg.format)
-    columns = _SCORE_COLUMNS + (("contributions",) if cfg.explain else ())
+def _cmd_score(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    glossary = load_glossary(args.glossary)
+    corpus = load_corpus(args.input, args.format)
+    columns = _SCORE_COLUMNS + (("contributions",) if args.explain else ())
     lines = ["# " + "\t".join(columns)]
-    for doc in corpus:
-        b = score_document(doc, glossary, model)
+    for b in score_corpus(corpus, glossary, model):
         fields = [
             b.doc_id,
             str(b.word_count),
@@ -320,41 +245,40 @@ def _cmd_score(cfg: RunConfig) -> int:
             format_float(b.probability),
             "positive" if b.positive else "negative",
         ]
-        if cfg.explain:
+        if args.explain:
             fields.append("; ".join(
                 f"{glossary.phrase_text(kid)}={format_float(v)}"
                 for kid, v in b.per_keyword.items()
             ))
         lines.append("\t".join(fields))
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _cmd_evaluate(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    glossary = load_glossary(cfg.glossary)
-    _check_model_glossary(model, glossary)
-    positives = load_corpus(cfg.positives, cfg.format)
-    r = recall(lambda d: score_document(d, glossary, model).positive, positives)
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    glossary = load_glossary(args.glossary)
+    positives = load_corpus(args.positives, args.format)
+    r = recall(lambda b: b.positive, score_corpus(positives, glossary, model))
     lines = [f"recall {format_float(r)}", f"n_positives {len(positives)}"]
-    if cfg.negatives is not None:
-        negatives = load_corpus(cfg.negatives, cfg.format)
+    if args.negatives is not None:
+        negatives = load_corpus(args.negatives, args.format)
         fpr = measure_fpr(model, glossary, negatives)
         lines.append(f"fpr {format_float(fpr)}")
         lines.append(f"n_negatives {len(negatives)}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _experiment_config(cfg: RunConfig, with_b: bool) -> ExperimentConfig:
-    background = load_corpus(cfg.background, cfg.format)
-    negatives = load_corpus(cfg.negatives, cfg.format)
+def _experiment_config(args: argparse.Namespace, with_b: bool) -> ExperimentConfig:
+    background = load_corpus(args.background, args.format)
+    negatives = load_corpus(args.negatives, args.format)
     specs = []
-    for group in cfg.categories:
+    for group in args.categories:
         name, glossary_path = group[0], group[1]
         glossary = load_glossary(glossary_path, category=name)
-        positives = load_corpus(group[2], cfg.format)
-        positives_b = load_corpus(group[3], cfg.format) if with_b else None
+        positives = load_corpus(group[2], args.format)
+        positives_b = load_corpus(group[3], args.format) if with_b else None
         specs.append(CategorySpec(
             name=name, glossary=glossary,
             positives=positives, positives_b=positives_b,
@@ -363,35 +287,35 @@ def _experiment_config(cfg: RunConfig, with_b: bool) -> ExperimentConfig:
         categories=tuple(specs),
         background=background,
         negatives=negatives,
-        k=cfg.k,
-        target_fpr=cfg.target_fpr,
-        lr=LrParams(l2=cfg.l2, epochs=cfg.epochs, learning_rate=cfg.learning_rate),
+        k=args.k,
+        target_fpr=args.target_fpr,
+        lr=LrParams(l2=args.l2, epochs=args.epochs, learning_rate=args.learning_rate),
     )
 
 
-def _cmd_exp1(cfg: RunConfig) -> int:
-    report = run_experiment1(_experiment_config(cfg, with_b=False))
-    _emit(render_records(report), cfg.output)
+def _cmd_exp1(args: argparse.Namespace) -> int:
+    report = run_experiment1(_experiment_config(args, with_b=False))
+    _emit(render_records(report), args.output)
     print(render_table(report), file=sys.stderr, end="")
     return 0
 
 
-def _cmd_exp2(cfg: RunConfig) -> int:
-    report = run_experiment2(_experiment_config(cfg, with_b=True))
-    _emit(render_records(report), cfg.output)
+def _cmd_exp2(args: argparse.Namespace) -> int:
+    report = run_experiment2(_experiment_config(args, with_b=True))
+    _emit(render_records(report), args.output)
     print(render_table(report), file=sys.stderr, end="")
     return 0
 
 
-def _cmd_verify_tables(cfg: RunConfig) -> int:
-    paths = list(cfg.tables) if cfg.tables else bundled_golden_paths()
+def _cmd_verify_tables(args: argparse.Namespace) -> int:
+    paths = list(args.tables) if args.tables else bundled_golden_paths()
     parts = []
     all_ok = True
     for path in paths:
         report = verify_table(path)
         parts.append(render_table_report(report))
         all_ok = all_ok and report.all_passed
-    _emit("".join(parts), cfg.output)
+    _emit("".join(parts), args.output)
     if not all_ok:
         print("error: one or more table checks failed", file=sys.stderr)
         return 1
@@ -409,14 +333,10 @@ _HANDLERS = {
 }
 
 
-def dispatch(config: RunConfig) -> int:
-    return _HANDLERS[config.command](config)
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return dispatch(_resolve(args))
+        return _HANDLERS[args.command](_resolve(args))
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -19,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import InputOutputError, ValidationError
-from .text import Document, tokenize
+from .text import tokenize
 
 # Terminal marker inside trie nodes. Token keys are strings, so None is free.
 _TERM = None
@@ -145,7 +145,3 @@ def _cached_matcher(glossary: Glossary) -> Matcher:
 def match(glossary: Glossary, tokens) -> MatchProfile:
     """Leftmost-longest non-overlapping match counts for one token sequence."""
     return _cached_matcher(glossary).profile(tuple(tokens))
-
-
-def match_document(glossary: Glossary, doc: Document) -> MatchProfile:
-    return match(glossary, doc.tokens)

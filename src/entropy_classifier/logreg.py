@@ -20,6 +20,7 @@ from scipy import sparse
 from .calibration import threshold_for_scores
 from .errors import InputOutputError, ValidationError
 from .model import FORMAT_VERSION, format_float
+from .scoring import sigmoid
 from .text import Corpus, Document
 
 MIN_DF = 2
@@ -156,11 +157,7 @@ def lr_logit(model: LrModel, doc: Document) -> float:
 
 def predict_lr(model: LrModel, doc: Document) -> float:
     """P(positive); the decision rule is y >= 0.5, i.e. logit >= threshold_bias."""
-    z = lr_logit(model, doc) - model.threshold_bias
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+    return sigmoid(lr_logit(model, doc) - model.threshold_bias)
 
 
 def lr_decision(model: LrModel, doc: Document) -> bool:

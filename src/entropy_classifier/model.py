@@ -59,6 +59,18 @@ class BackgroundModel:
         return Glossary(category=self.category, phrases=self.phrases)
 
 
+def idf_from_df(df: int, n_docs: int) -> float:
+    """Smoothed idf: ln((n_docs+1)/(df+1)) + 1.
+
+    Finite at df=0 and strictly positive, so abundance never degenerates.
+    """
+    if n_docs < 1:
+        raise ValueError(f"n_docs must be >= 1, got {n_docs}")
+    if not (0 <= df <= n_docs):
+        raise ValueError(f"df must be in [0, n_docs], got df={df}, n_docs={n_docs}")
+    return math.log((n_docs + 1) / (df + 1)) + 1.0
+
+
 def set_bias_direct(model: BackgroundModel, b: float) -> BackgroundModel:
     """Return the model with bias set to b; every other field unchanged."""
     if not math.isfinite(b):
@@ -71,6 +83,11 @@ def save_model(model: BackgroundModel, path) -> None:
         raise ValidationError(
             "ablation models (entropy_weighted=False) cannot be saved: "
             "the model file format has no field for the variant"
+        )
+    if "\n" in model.category:
+        raise ValidationError(
+            f"category {model.category!r} contains a newline: "
+            "the model file stores it on one line"
         )
     lines = [
         f"format_version {FORMAT_VERSION}",
@@ -176,7 +193,7 @@ def load_model(path) -> BackgroundModel:
     if glossary.digest() != head["glossary_digest"]:
         raise _bad(p, "glossary_digest does not match the kw records")
 
-    idf = {kid: math.log((n_docs + 1) / (df[kid] + 1)) + 1.0 for kid in df}
+    idf = {kid: idf_from_df(count, n_docs) for kid, count in df.items()}
     return BackgroundModel(
         category=head["category"],
         glossary_digest=head["glossary_digest"],

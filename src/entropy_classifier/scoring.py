@@ -14,17 +14,26 @@ standardized >= bias.
 
 For ablation models (entropy_weighted=False) the raw score is the abundance
 alone; the breakdown still records the true entropy for inspection.
+
+This module is the only place a document is scored. The private kernel
+_score_profile turns one match profile into L, the per-keyword contributions,
+tfidf_over_L, the entropy and the raw score; raw_score, score_corpus and
+background.fit_standardization all call it. score_corpus is the bulk path:
+it checks the glossary digest and sigma once per call, reuses one cached
+Matcher, and yields each document's predict()ed breakdown, so every corpus
+is standardized and thresholded by predict alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
-from .glossary import Glossary, MatchProfile, match
+from .glossary import Glossary, MatchProfile, _cached_matcher, match
 from .model import BackgroundModel
-from .text import Document
+from .text import Corpus, Document
 
 
 def effective_length(word_count: int, k: int) -> int:
@@ -90,8 +99,8 @@ class ScoreBreakdown:
     """Full explainable trace of one document's score.
 
     standardized/probability/positive are None until predict() fills them.
-    For entropy-weighted models raw_score = entropy * tfidf_over_L exactly;
-    ablation models use raw_score = tfidf_over_L.
+    For entropy-weighted models raw_score is entropy times tfidf_over_L
+    exactly; ablation models use raw_score = tfidf_over_L.
     """
 
     doc_id: str
@@ -108,25 +117,35 @@ class ScoreBreakdown:
     positive: bool | None = None
 
 
-def _check_digest(glossary: Glossary, model: BackgroundModel) -> None:
+def _check_model(glossary: Glossary, model: BackgroundModel) -> None:
     if glossary.digest() != model.glossary_digest:
         raise ValidationError("model was trained for a different glossary")
+    if model.sigma <= 0:
+        raise ValidationError("model invalid: sigma must be positive")
 
 
-def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
-    """Compute the breakdown through raw_score (no standardization yet)."""
-    _check_digest(glossary, model)
-    tf = match(glossary, doc.tokens)
-    word_count = len(doc.tokens)
-    L = effective_length(word_count, model.k)
-    contributions = per_keyword_contributions(tf, model.idf, L)
+def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: int,
+                   entropy_weighted: bool):
+    """The scoring kernel: (L, p, per_keyword, tfidf_over_L, entropy, raw score).
+
+    Plain values, no breakdown object, so bulk training allocates nothing
+    extra per document. Sums run over ascending keyword ids.
+    """
+    L = effective_length(word_count, k)
+    contributions = per_keyword_contributions(tf, idf, L)
     tfidf_over_L = sum(contributions.values())
     p = match_distribution(tf)
     entropy = shannon_entropy(p)
-    s = entropy * tfidf_over_L if model.entropy_weighted else tfidf_over_L
+    s = entropy * tfidf_over_L if entropy_weighted else tfidf_over_L
+    return L, p, contributions, tfidf_over_L, entropy, s
+
+
+def _breakdown(doc: Document, tf: MatchProfile, model: BackgroundModel) -> ScoreBreakdown:
+    L, p, contributions, tfidf_over_L, entropy, s = _score_profile(
+        tf, len(doc.tokens), model.idf, model.k, model.entropy_weighted)
     return ScoreBreakdown(
         doc_id=doc.id,
-        word_count=word_count,
+        word_count=len(doc.tokens),
         effective_length=L,
         tf=tf,
         p=p,
@@ -137,10 +156,21 @@ def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> Scor
     )
 
 
+def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
+    """Compute the breakdown through raw_score (no standardization yet).
+
+    Checks that the model fits the glossary and has a positive sigma, so
+    predict can standardize the result.
+    """
+    _check_model(glossary, model)
+    return _breakdown(doc, match(glossary, doc.tokens), model)
+
+
 def predict(breakdown: ScoreBreakdown, model: BackgroundModel) -> ScoreBreakdown:
-    """Fill standardized score, probability, and the decision."""
-    if model.sigma <= 0:
-        raise ValidationError("model invalid: sigma must be positive")
+    """Fill standardized score, probability, and the decision.
+
+    The model must have passed raw_score's or score_corpus's check.
+    """
     s_hat = (breakdown.raw_score - model.mu) / model.sigma
     y = sigmoid(s_hat - model.bias)
     return replace(breakdown, standardized=s_hat, probability=y,
@@ -152,13 +182,19 @@ def score_document(doc: Document, glossary: Glossary, model: BackgroundModel) ->
     return predict(raw_score(doc, glossary, model), model)
 
 
-def standardized_scores(corpus, glossary: Glossary, model: BackgroundModel) -> list[float]:
+def score_corpus(corpus: Corpus, glossary: Glossary,
+                 model: BackgroundModel) -> Iterator[ScoreBreakdown]:
+    """score_document for every document, in corpus order.
+
+    The glossary and model are checked once, here, before the first
+    document, so a mismatch is reported even for an empty corpus.
+    """
+    _check_model(glossary, model)
+    matcher = _cached_matcher(glossary)
+    return (predict(_breakdown(doc, matcher.profile(doc.tokens), model), model)
+            for doc in corpus)
+
+
+def standardized_scores(corpus: Corpus, glossary: Glossary, model: BackgroundModel) -> list[float]:
     """Standardized score for every document, in corpus order."""
-    _check_digest(glossary, model)
-    if model.sigma <= 0:
-        raise ValidationError("model invalid: sigma must be positive")
-    out = []
-    for doc in corpus:
-        b = raw_score(doc, glossary, model)
-        out.append((b.raw_score - model.mu) / model.sigma)
-    return out
+    return [b.standardized for b in score_corpus(corpus, glossary, model)]

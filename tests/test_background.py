@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -159,6 +160,19 @@ class TestModelPersistence:
         m = train(finance_glossary, small_background, entropy_weighted=False)
         with pytest.raises(ValidationError, match="cannot be saved"):
             save_model(m, tmp_path / "m.txt")
+
+    def test_newline_in_category_rejected_before_writing(self, tmp_path, finance_glossary,
+                                                         small_background):
+        m = replace(train(finance_glossary, small_background), category="a\nbias 9")
+        with pytest.raises(ValidationError, match="newline"):
+            save_model(m, tmp_path / "m.txt")
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_category_edge_spaces_round_trip(self, tmp_path, finance_glossary,
+                                             small_background):
+        m = replace(train(finance_glossary, small_background), category="  fin ")
+        save_model(m, tmp_path / "m.txt")
+        assert load_model(tmp_path / "m.txt").category == "  fin "
 
     def test_set_bias_direct(self, finance_glossary, small_background):
         m = train(finance_glossary, small_background)

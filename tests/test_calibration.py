@@ -7,10 +7,10 @@ from entropy_classifier.background import train
 from entropy_classifier.calibration import (
     calibrate_fpr,
     measure_fpr,
-    set_bias_direct,
     threshold_for_scores,
 )
 from entropy_classifier.errors import ValidationError
+from entropy_classifier.model import set_bias_direct
 from entropy_classifier.text import corpus_from_texts
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -16,6 +17,7 @@ from entropy_classifier.scoring import (
     per_keyword_contributions,
     predict,
     raw_score,
+    score_corpus,
     score_document,
     shannon_entropy,
     sigmoid,
@@ -229,8 +231,13 @@ class TestStandardizedScores:
         m = train(finance_glossary, small_background)
         scores = standardized_scores(small_background, finance_glossary, m)
         assert len(scores) == len(small_background)
-        for s_hat, doc in zip(scores, small_background):
-            assert s_hat == score_document(doc, finance_glossary, m).standardized
+        breakdowns = list(score_corpus(small_background, finance_glossary, m))
+        assert len(breakdowns) == len(small_background)
+        for s_hat, b, doc in zip(scores, breakdowns, small_background):
+            want = score_document(doc, finance_glossary, m)
+            assert s_hat == want.standardized
+            for field in dataclasses.fields(want):
+                assert getattr(b, field.name) == getattr(want, field.name), field.name
 
 
 class TestOracleEquivalence:
