@@ -61,8 +61,6 @@ def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
 def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus,
                   target_fpr: float) -> CalibrationResult:
     """Calibrate the model bias so the FPR on the negatives is <= target."""
-    if len(negatives) == 0:
-        raise ValidationError("negative corpus must be non-empty")
     s_hat = standardized_scores(negatives, glossary, model)
     bias, achieved = threshold_for_scores(s_hat, target_fpr)
     return CalibrationResult(
@@ -75,6 +73,7 @@ def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus,
 
 def measure_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus) -> float:
     """Fraction of negatives the model classifies positive (y >= 0.5)."""
+    scored = score_corpus(negatives, glossary, model)  # checks the glossary first
     if len(negatives) == 0:
         raise ValidationError("negative corpus must be non-empty")
-    return sum(1 for b in score_corpus(negatives, glossary, model) if b.positive) / len(negatives)
+    return sum(1 for b in scored if b.positive) / len(negatives)

@@ -33,7 +33,8 @@ from .glossary import load_glossary
 from .logreg import LrParams
 from .model import format_float, load_model, rewrite_bias_line, save_model, set_bias_direct
 from .scoring import score_corpus
-# Not called here; perfbench/tracer.py patches it under this module's name.
+# Not called here: the benchmark tracer (perfbench/tracer.py) patches
+# score_document under this module's name, so the name must stay bound.
 from .scoring import score_document  # noqa: F401
 from .stats import recall
 from .text import load_corpus

@@ -35,7 +35,8 @@ from .logreg import (
 )
 from .model import format_float, set_bias_direct
 from .scoring import score_corpus
-# Not called here; perfbench/tracer.py patches it under this module's name.
+# Not called here: the benchmark tracer (perfbench/tracer.py) patches
+# score_document under this module's name, so the name must stay bound.
 from .scoring import score_document  # noqa: F401
 from .stats import AnovaResult, fractional_change, one_way_anova, recall
 from .text import Corpus

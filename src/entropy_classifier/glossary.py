@@ -138,6 +138,11 @@ class Matcher:
 
 
 @lru_cache(maxsize=32)
+def _cached_digest(glossary: Glossary) -> str:
+    return glossary.digest()
+
+
+@lru_cache(maxsize=32)
 def _cached_matcher(glossary: Glossary) -> Matcher:
     return Matcher(glossary)
 

@@ -17,11 +17,13 @@ alone; the breakdown still records the true entropy for inspection.
 
 This module is the only place a document is scored. The private kernel
 _score_profile turns one match profile into L, the per-keyword contributions,
-tfidf_over_L, the entropy and the raw score; raw_score, score_corpus and
-background.fit_standardization all call it. score_corpus is the bulk path:
-it checks the glossary digest and sigma once per call, reuses one cached
-Matcher, and yields each document's predict()ed breakdown, so every corpus
-is standardized and thresholded by predict alone.
+tfidf_over_L, the entropy and the raw score; raw_score and
+background.fit_standardization call it. score_corpus is the bulk path: it
+checks the glossary and sigma once before the first document and yields
+score_document (raw_score, then predict) for each document, so every corpus
+is standardized and thresholded by predict alone. The glossary digest is
+computed once per glossary and cached, so the per-document check in
+raw_score is a cache lookup.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
-from .glossary import Glossary, MatchProfile, _cached_matcher, match
+from .glossary import Glossary, MatchProfile, _cached_digest, match
 from .model import BackgroundModel
 from .text import Corpus, Document
 
@@ -117,9 +119,12 @@ class ScoreBreakdown:
     positive: bool | None = None
 
 
-def _check_model(glossary: Glossary, model: BackgroundModel) -> None:
-    if glossary.digest() != model.glossary_digest:
+def _check_digest(glossary: Glossary, model: BackgroundModel) -> None:
+    if _cached_digest(glossary) != model.glossary_digest:
         raise ValidationError("model was trained for a different glossary")
+
+
+def _check_sigma(model: BackgroundModel) -> None:
     if model.sigma <= 0:
         raise ValidationError("model invalid: sigma must be positive")
 
@@ -140,7 +145,10 @@ def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: 
     return L, p, contributions, tfidf_over_L, entropy, s
 
 
-def _breakdown(doc: Document, tf: MatchProfile, model: BackgroundModel) -> ScoreBreakdown:
+def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
+    """Compute the breakdown through raw_score (no standardization yet)."""
+    _check_digest(glossary, model)
+    tf = match(glossary, doc.tokens)
     L, p, contributions, tfidf_over_L, entropy, s = _score_profile(
         tf, len(doc.tokens), model.idf, model.k, model.entropy_weighted)
     return ScoreBreakdown(
@@ -156,21 +164,9 @@ def _breakdown(doc: Document, tf: MatchProfile, model: BackgroundModel) -> Score
     )
 
 
-def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
-    """Compute the breakdown through raw_score (no standardization yet).
-
-    Checks that the model fits the glossary and has a positive sigma, so
-    predict can standardize the result.
-    """
-    _check_model(glossary, model)
-    return _breakdown(doc, match(glossary, doc.tokens), model)
-
-
 def predict(breakdown: ScoreBreakdown, model: BackgroundModel) -> ScoreBreakdown:
-    """Fill standardized score, probability, and the decision.
-
-    The model must have passed raw_score's or score_corpus's check.
-    """
+    """Fill standardized score, probability, and the decision."""
+    _check_sigma(model)
     s_hat = (breakdown.raw_score - model.mu) / model.sigma
     y = sigmoid(s_hat - model.bias)
     return replace(breakdown, standardized=s_hat, probability=y,
@@ -186,13 +182,12 @@ def score_corpus(corpus: Corpus, glossary: Glossary,
                  model: BackgroundModel) -> Iterator[ScoreBreakdown]:
     """score_document for every document, in corpus order.
 
-    The glossary and model are checked once, here, before the first
-    document, so a mismatch is reported even for an empty corpus.
+    The glossary and sigma are checked here, before the first document, so a
+    mismatch is reported even for an empty corpus.
     """
-    _check_model(glossary, model)
-    matcher = _cached_matcher(glossary)
-    return (predict(_breakdown(doc, matcher.profile(doc.tokens), model), model)
-            for doc in corpus)
+    _check_digest(glossary, model)
+    _check_sigma(model)
+    return (score_document(doc, glossary, model) for doc in corpus)
 
 
 def standardized_scores(corpus: Corpus, glossary: Glossary, model: BackgroundModel) -> list[float]:

@@ -124,7 +124,10 @@ class TestScore:
         ("calibrate", "--negatives", False),
         ("evaluate", "--positives", False),
         ("score", "--input", True),
-    ], ids=["score", "calibrate", "evaluate", "score-blank-input"])
+        ("calibrate", "--negatives", True),
+        ("evaluate", "--positives", True),
+    ], ids=["score", "calibrate", "evaluate",
+            "score-blank-input", "calibrate-blank-input", "evaluate-blank-input"])
     def test_wrong_glossary_exits_1(self, workspace, tmp_path, capsys,
                                     command, corpus_flag, blank):
         run_train(workspace)
