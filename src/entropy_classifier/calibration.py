@@ -27,12 +27,6 @@ class CalibrationResult:
     n_negatives: int
 
 
-def _bump(value: float) -> float:
-    # Relative epsilon so the bump survives at any score magnitude; the
-    # absolute floor covers values near zero.
-    return value + max(1e-9, abs(value) * 1e-9)
-
-
 def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
     """Pick the tight bias for a list of negative scores.
 
@@ -47,13 +41,15 @@ def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
     # floor(target * n) < n holds mathematically for target < 1; the clamp
     # guards the one case float rounding could push the product up to n.
     m = min(math.floor(target_fpr * n), n - 1)
+    # Above a score, the bias is the next double up: any larger step could
+    # skip a distinct score just above and leave the bias loose.
     if m == 0:
-        bias = _bump(ordered[0])
+        bias = math.nextafter(ordered[0], math.inf)
     elif ordered[m] < ordered[m - 1]:
         # No tie across the boundary: the m-th highest score is admissible.
         bias = ordered[m - 1]
     else:
-        bias = _bump(ordered[m])
+        bias = math.nextafter(ordered[m], math.inf)
     achieved = sum(1 for s in scores if s >= bias) / n
     return bias, achieved
 

@@ -2,10 +2,11 @@
 
 Commands: train, calibrate, score, evaluate, exp1, exp2, verify-tables.
 Results go to --output (default stdout) as line-oriented records with floats
-at 17 significant digits; diagnostics and human-readable tables go to stderr.
+at 17 significant digits; an --output file is replaced atomically, so a failed
+run leaves the old one. Diagnostics and human-readable tables go to stderr.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 
-An optional --config file (same key-value line format as model files) can
+An optional --config file (line records, as model files: see records.py) can
 supply defaults for scalar options; explicit flags always win.
 """
 
@@ -13,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
+from . import records
 from .background import train
 from .calibration import calibrate_fpr, measure_fpr
-from .errors import InputOutputError, ToolError, ValidationError
+from .errors import ToolError, ValidationError
 from .experiments import (
     CategorySpec,
     ExperimentConfig,
@@ -134,23 +135,14 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_defaults(path: str) -> dict[str, str]:
-    p = Path(path)
-    try:
-        content = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {p}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"config file {p}: not valid UTF-8 ({exc})") from exc
+    label = f"config file {path}"
     out: dict[str, str] = {}
-    for lineno, line in enumerate(content.split("\n"), start=1):
-        if line.startswith("#") or line.strip() == "":
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2 or parts[0] not in _CONFIG_DEFAULTS:
+    for lineno, key, value in records.parse(records.read_text(path, label)):
+        if key not in _CONFIG_DEFAULTS or value.strip() == "":
             raise ValidationError(
-                f"config file {p}: line {lineno}: unknown or malformed record {line!r}"
+                f"{label}: line {lineno}: unknown or malformed record {key!r}"
             )
-        out[parts[0]] = parts[1].strip()
+        out[key] = value.strip()
     return out
 
 
@@ -178,11 +170,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-        return
-    try:
-        Path(output).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise InputOutputError(f"cannot write {output}: {exc.strerror or exc}") from exc
+    else:
+        records.write_text(output, text)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

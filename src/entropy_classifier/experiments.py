@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from . import records
 from .background import train
 from .calibration import calibrate_fpr, measure_fpr
-from .errors import InputOutputError, ValidationError
+from .errors import ValidationError
 from .glossary import Glossary
 from .logreg import (
     LrParams,
@@ -183,12 +184,6 @@ def split_alternating(corpus: Corpus) -> tuple[Corpus, Corpus]:
     )
 
 
-def evaluate_pair(is_positive, corpus_a: Corpus, corpus_b: Corpus) -> tuple[float, float]:
-    """Recall of one fixed classifier on two corpora; swapping the corpora
-    swaps the result components exactly."""
-    return recall(is_positive, corpus_a), recall(is_positive, corpus_b)
-
-
 def run_experiment2(config: ExperimentConfig) -> EvalReport:
     """LR-vs-knowledge-based robustness; rows keyed '<category>/lr' and
     '<category>/kb'."""
@@ -208,7 +203,7 @@ def run_experiment2(config: ExperimentConfig) -> EvalReport:
         lr = train_lr(a_train, config.background, config.lr)
         lr = calibrate_lr_threshold(lr, config.negatives, config.target_fpr)
 
-        lr_ra, lr_rb = evaluate_pair(lambda d: lr_decision(lr, d), a_eval, corpus_b)
+        lr_ra, lr_rb = (recall(lambda d: lr_decision(lr, d), c) for c in (a_eval, corpus_b))
         kb_ra, kb_rb = (recall(lambda b: b.positive, score_corpus(c, spec.glossary, kb))
                         for c in (a_eval, corpus_b))
 
@@ -358,58 +353,47 @@ def bundled_golden_paths() -> list[Path]:
 
 
 def _parse_golden(path: Path):
-    try:
-        content = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"table file {path}: not valid UTF-8 ({exc})") from exc
+    label = f"table file {path}"
 
     def bad(what: str) -> ValidationError:
-        return ValidationError(f"table file {path}: {what}")
+        return ValidationError(f"{label}: {what}")
 
     kind = None
     labels: tuple[str, str] = ("a", "b")
     rows: list[tuple[str, tuple[float, ...]]] = []
     expects: list[tuple[str, float, str, float]] = []
     saw_version = False
-    for lineno, line in enumerate(content.split("\n"), start=1):
-        if line.startswith("#") or line.strip() == "":
-            continue
-        parts = line.split()
-        key = parts[0]
+    for lineno, key, value in records.parse(records.read_text(path, label)):
+        parts = value.split()
         if key == "format_version":
-            if parts[1:] != ["1"]:
+            if parts != [str(records.FORMAT_VERSION)]:
                 raise bad(f"unsupported format_version on line {lineno}")
             saw_version = True
         elif key == "kind":
-            if parts[1:] not in (["recall_pair"], ["recall_shift"]):
-                raise bad(f"unknown kind on line {lineno}: {line!r}")
-            kind = parts[1]
+            if parts not in (["recall_pair"], ["recall_shift"]):
+                raise bad(f"unknown kind on line {lineno}: {value!r}")
+            kind = parts[0]
         elif key == "labels":
-            if len(parts) != 3:
+            if len(parts) != 2:
                 raise bad(f"labels needs exactly two names (line {lineno})")
-            labels = (parts[1], parts[2])
+            labels = (parts[0], parts[1])
         elif key == "row":
             want = 3 if kind == "recall_pair" else 5
             if kind is None:
                 raise bad(f"row before kind (line {lineno})")
-            if len(parts) != want + 1:
-                raise bad(f"row needs {want} fields (line {lineno}): {line!r}")
-            try:
-                values = tuple(float(v) for v in parts[2:])
-            except ValueError:
-                raise bad(f"non-numeric recall on line {lineno}: {line!r}") from None
+            if len(parts) != want:
+                raise bad(f"row needs {want} fields (line {lineno}): {value!r}")
+            values = tuple(records.to_float(label, f"recall on line {lineno}", v)
+                           for v in parts[1:])
             if any(not (0.0 <= v <= 1.0) for v in values):
-                raise bad(f"recall outside [0, 1] on line {lineno}: {line!r}")
-            rows.append((parts[1], values))
+                raise bad(f"recall outside [0, 1] on line {lineno}: {value!r}")
+            rows.append((parts[0], values))
         elif key == "expect":
-            if len(parts) != 5 or parts[3] not in ("abs", "rel"):
-                raise bad(f"malformed expect on line {lineno}: {line!r}")
-            try:
-                expects.append((parts[1], float(parts[2]), parts[3], float(parts[4])))
-            except ValueError:
-                raise bad(f"non-numeric expect on line {lineno}: {line!r}") from None
+            if len(parts) != 4 or parts[2] not in ("abs", "rel"):
+                raise bad(f"malformed expect on line {lineno}: {value!r}")
+            expected, tol = (records.to_float(label, f"expect on line {lineno}", v)
+                             for v in (parts[1], parts[3]))
+            expects.append((parts[0], expected, parts[2], tol))
         else:
             raise bad(f"unknown record {key!r} on line {lineno}")
     if not saw_version:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import InputOutputError, ValidationError
+from . import records
+from .errors import ValidationError
 from .text import tokenize
 
 # Terminal marker inside trie nodes. Token keys are strings, so None is free.
@@ -73,15 +74,7 @@ def load_glossary(source, category: str | None = None) -> Glossary:
     defaults to the file stem.
     """
     path = Path(source)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        content = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"glossary {path}: not valid UTF-8 ({exc})") from exc
-
+    content = records.read_text(path, f"glossary {path}")
     phrases = set()
     for lineno, line in enumerate(content.split("\n"), start=1):
         if line.startswith("#") or line.strip() == "":

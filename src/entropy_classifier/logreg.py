@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
+from . import records
 from .calibration import threshold_for_scores
-from .errors import InputOutputError, ValidationError
-from .model import FORMAT_VERSION, format_float
+from .errors import ValidationError
+from .model import format_float
 from .scoring import sigmoid
 from .text import Corpus, Document
 
@@ -181,67 +181,50 @@ def lr_measure_fpr(model: LrModel, negatives: Corpus) -> float:
 
 
 def save_lr_model(model: LrModel, path) -> None:
+    """Write the LR model file; refuses, before writing, what load_lr_model
+    would reject."""
+    if any(token.split() != [token] for token in model.vocabulary):
+        raise ValidationError("LR model cannot be saved: a vocabulary token is empty "
+                              "or holds whitespace")
+    if not np.isfinite([model.l2, model.threshold_bias, *model.weights]).all():
+        raise ValidationError("LR model cannot be saved: it holds a non-finite value")
     inverse = sorted(model.vocabulary.items(), key=lambda kv: kv[1])
-    lines = [
-        f"format_version {FORMAT_VERSION}",
-        f"l2 {format_float(model.l2)}",
-        f"threshold_bias {format_float(model.threshold_bias)}",
-    ]
-    for token, fid in inverse:
-        lines.append(f"feat {fid} {token} {format_float(float(model.weights[fid]))}")
-    lines.append(f"intercept {format_float(model.intercept)}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise InputOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    records.write_records(path, [
+        ("format_version", str(records.FORMAT_VERSION)),
+        ("l2", format_float(model.l2)),
+        ("threshold_bias", format_float(model.threshold_bias)),
+    ] + [("feat", f"{fid} {token} {format_float(float(model.weights[fid]))}")
+         for token, fid in inverse]
+      + [("intercept", format_float(model.intercept))])
 
 
 def load_lr_model(path) -> LrModel:
-    p = Path(path)
-    try:
-        content = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {p}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"LR model file {p}: not valid UTF-8 ({exc})") from exc
+    label = f"LR model file {path}"
 
     def bad(what: str) -> ValidationError:
-        return ValidationError(f"LR model file {p}: {what}")
+        return ValidationError(f"{label}: {what}")
 
-    lines = [ln for ln in content.split("\n") if ln != ""]
-    if len(lines) < 4:
-        raise bad("truncated")
-    if lines[0] != f"format_version {FORMAT_VERSION}":
-        raise bad(f"unsupported header {lines[0]!r}")
-    if not lines[1].startswith("l2 ") or not lines[2].startswith("threshold_bias "):
-        raise bad("expected l2 and threshold_bias records")
-    try:
-        l2 = float(lines[1].split(" ", 1)[1])
-        threshold_bias = float(lines[2].split(" ", 1)[1])
-    except ValueError:
-        raise bad("l2/threshold_bias not numeric") from None
+    recs = records.parse(records.read_text(path, label))
+    head = records.head(recs, ("format_version", "l2", "threshold_bias"), label)
+    if head["format_version"] != str(records.FORMAT_VERSION):
+        raise bad(f"unsupported header format_version {head['format_version']!r}")
+    l2 = records.to_float(label, "l2", head["l2"])
+    threshold_bias = records.to_float(label, "threshold_bias", head["threshold_bias"])
+    if recs[-1][1] != "intercept":
+        raise bad("missing intercept record")
+    intercept = records.to_float(label, "intercept", recs[-1][2])
 
     vocab: dict[str, int] = {}
     weights: list[float] = []
-    if not lines[-1].startswith("intercept "):
-        raise bad("missing intercept record")
-    for line in lines[3:-1]:
-        parts = line.split(" ")
-        if len(parts) != 4 or parts[0] != "feat":
-            raise bad(f"expected feat record, found {line!r}")
-        try:
-            fid = int(parts[1])
-            weight = float(parts[3])
-        except ValueError:
-            raise bad(f"malformed feat record {line!r}") from None
+    for _, key, value in recs[3:-1]:
+        parts = value.split(" ")
+        if key != "feat" or len(parts) != 3 or parts[1].split() != [parts[1]]:
+            raise bad(f"expected feat record, found {key} {value!r}")
+        fid = records.to_int(label, "feat id", parts[0])
         if fid != len(weights):
             raise bad(f"feat ids must be dense and ascending, found {fid}")
-        vocab[parts[2]] = fid
-        weights.append(weight)
-    try:
-        intercept = float(lines[-1].split(" ", 1)[1])
-    except ValueError:
-        raise bad("intercept not numeric") from None
+        vocab[parts[1]] = fid
+        weights.append(records.to_float(label, "feat weight", parts[2]))
     if len(vocab) != len(weights):
         raise bad("duplicate feature tokens")
     return LrModel(

@@ -1,6 +1,6 @@
 """Trained background model: state, persistence, and the model file format.
 
-The file format is line-oriented UTF-8 key-value text, one record per line:
+A model file holds these line records (format in records.py), in this order:
 
     format_version 1
     category <string>
@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
-from .errors import InputOutputError, ValidationError
+from . import records
+from .errors import ValidationError
 from .glossary import Glossary
-
-FORMAT_VERSION = 1
 
 
 def format_float(x: float) -> str:
@@ -84,114 +82,69 @@ def save_model(model: BackgroundModel, path) -> None:
             "ablation models (entropy_weighted=False) cannot be saved: "
             "the model file format has no field for the variant"
         )
-    if "\n" in model.category:
-        raise ValidationError(
-            f"category {model.category!r} contains a newline: "
-            "the model file stores it on one line"
-        )
-    lines = [
-        f"format_version {FORMAT_VERSION}",
-        f"category {model.category}",
-        f"glossary_digest {model.glossary_digest}",
-        f"n_docs {model.n_docs}",
-        f"k {model.k}",
-        f"mu {format_float(model.mu)}",
-        f"sigma {format_float(model.sigma)}",
-        f"bias {format_float(model.bias)}",
-    ]
-    for kid, phrase in enumerate(model.phrases):
-        lines.append(f"kw {kid} {model.df[kid]} {' '.join(phrase)}")
-    text = "\n".join(lines) + "\n"
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise InputOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    records.write_records(path, [
+        ("format_version", str(records.FORMAT_VERSION)),
+        ("category", model.category),
+        ("glossary_digest", model.glossary_digest),
+        ("n_docs", str(model.n_docs)),
+        ("k", str(model.k)),
+        ("mu", format_float(model.mu)),
+        ("sigma", format_float(model.sigma)),
+        ("bias", format_float(model.bias)),
+    ] + [("kw", f"{kid} {model.df[kid]} {' '.join(phrase)}")
+         for kid, phrase in enumerate(model.phrases)])
 
 
-def _bad(path, what: str) -> ValidationError:
-    return ValidationError(f"model file {path}: {what}")
-
-
-def _parse_float(path, key: str, value: str) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise _bad(path, f"{key} is not a number: {value!r}") from None
-    if not math.isfinite(x):
-        raise _bad(path, f"{key} must be finite, got {value!r}")
-    return x
-
-
-def _parse_int(path, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise _bad(path, f"{key} is not an integer: {value!r}") from None
+_HEAD = ("format_version", "category", "glossary_digest", "n_docs", "k", "mu",
+         "sigma", "bias")
 
 
 def load_model(path) -> BackgroundModel:
     """Parse and validate a model file written by save_model."""
-    p = Path(path)
-    try:
-        raw = p.read_bytes()
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {p}: {exc.strerror or exc}") from exc
-    try:
-        content = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _bad(p, f"not valid UTF-8 ({exc})") from exc
+    label = f"model file {path}"
 
-    lines = content.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    expected_head = ["format_version", "category", "glossary_digest", "n_docs",
-                     "k", "mu", "sigma", "bias"]
-    if len(lines) < len(expected_head):
-        raise _bad(p, "truncated header")
-    head: dict[str, str] = {}
-    for key, line in zip(expected_head, lines):
-        parts = line.split(" ", 1)
-        if parts[0] != key:
-            raise _bad(p, f"expected {key!r} record, found {line!r}")
-        head[key] = parts[1] if len(parts) > 1 else ""
+    def bad(what: str) -> ValidationError:
+        return ValidationError(f"{label}: {what}")
 
-    if head["format_version"] != str(FORMAT_VERSION):
-        raise _bad(p, f"unsupported format_version {head['format_version']!r}")
-    n_docs = _parse_int(p, "n_docs", head["n_docs"])
-    k = _parse_int(p, "k", head["k"])
-    mu = _parse_float(p, "mu", head["mu"])
-    sigma = _parse_float(p, "sigma", head["sigma"])
-    bias = _parse_float(p, "bias", head["bias"])
+    recs = records.parse(records.read_text(path, label))
+    head = records.head(recs, _HEAD, label)
+    if head["format_version"] != str(records.FORMAT_VERSION):
+        raise bad(f"unsupported format_version {head['format_version']!r}")
+    n_docs = records.to_int(label, "n_docs", head["n_docs"])
+    k = records.to_int(label, "k", head["k"])
+    mu = records.to_float(label, "mu", head["mu"])
+    sigma = records.to_float(label, "sigma", head["sigma"])
+    bias = records.to_float(label, "bias", head["bias"])
     if n_docs < 1:
-        raise _bad(p, f"n_docs must be >= 1, got {n_docs}")
+        raise bad(f"n_docs must be >= 1, got {n_docs}")
     if k < 1:
-        raise _bad(p, f"k must be >= 1, got {k}")
+        raise bad(f"k must be >= 1, got {k}")
     if sigma <= 0:
-        raise _bad(p, f"sigma must be positive, got {head['sigma']}")
+        raise bad(f"sigma must be positive, got {head['sigma']}")
 
     phrases: list[tuple[str, ...]] = []
     df: dict[int, int] = {}
-    for line in lines[len(expected_head):]:
-        parts = line.split(" ", 3)
-        if parts[0] != "kw" or len(parts) != 4:
-            raise _bad(p, f"expected kw record, found {line!r}")
-        kid = _parse_int(p, "kw id", parts[1])
+    for _, key, value in recs[len(_HEAD):]:
+        parts = value.split(" ", 2)
+        if key != "kw" or len(parts) != 3:
+            raise bad(f"expected kw record, found {key} {value!r}")
+        kid = records.to_int(label, "kw id", parts[0])
         if kid != len(phrases):
-            raise _bad(p, f"kw ids must be dense and ascending, found {kid}")
-        count = _parse_int(p, "kw df", parts[2])
+            raise bad(f"kw ids must be dense and ascending, found {kid}")
+        count = records.to_int(label, "kw df", parts[1])
         if not (0 <= count <= n_docs):
-            raise _bad(p, f"kw {kid} df {count} outside [0, n_docs]")
-        toks = tuple(parts[3].split(" "))
+            raise bad(f"kw {kid} df {count} outside [0, n_docs]")
+        toks = tuple(parts[2].split(" "))
         if any(t == "" for t in toks):
-            raise _bad(p, f"kw {kid} has a malformed phrase")
+            raise bad(f"kw {kid} has a malformed phrase")
         phrases.append(toks)
         df[kid] = count
     if not phrases:
-        raise _bad(p, "no kw records")
+        raise bad("no kw records")
 
     glossary = Glossary(category=head["category"], phrases=tuple(phrases))
     if glossary.digest() != head["glossary_digest"]:
-        raise _bad(p, "glossary_digest does not match the kw records")
+        raise bad("glossary_digest does not match the kw records")
 
     idf = {kid: idf_from_df(count, n_docs) for kid, count in df.items()}
     return BackgroundModel(
@@ -211,17 +164,11 @@ def load_model(path) -> BackgroundModel:
 def rewrite_bias_line(path, new_bias: float) -> None:
     """Replace exactly the bias record in a model file, leaving all other
     bytes untouched. Used by the calibrate command."""
-    p = Path(path)
-    try:
-        content = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {p}: {exc.strerror or exc}") from exc
-    lines = content.split("\n")
-    hits = [i for i, line in enumerate(lines) if line.startswith("bias ")]
+    label = f"model file {path}"
+    content = records.read_text(path, label)
+    hits = [lineno for lineno, key, _ in records.parse(content) if key == "bias"]
     if len(hits) != 1:
-        raise _bad(p, f"expected exactly one bias record, found {len(hits)}")
-    lines[hits[0]] = f"bias {format_float(new_bias)}"
-    try:
-        p.write_text("\n".join(lines), encoding="utf-8")
-    except OSError as exc:
-        raise InputOutputError(f"cannot write {p}: {exc.strerror or exc}") from exc
+        raise ValidationError(f"{label}: expected exactly one bias record, found {len(hits)}")
+    lines = content.split("\n")
+    lines[hits[0] - 1] = f"bias {format_float(new_bias)}"
+    records.write_text(path, "\n".join(lines))

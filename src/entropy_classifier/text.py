@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import records
 from .errors import InputOutputError, ValidationError
 
 # Matches exactly the characters str.isalnum() accepts (\w minus underscore).
@@ -80,17 +81,6 @@ def corpus_from_texts(texts, ids=None, source: str = "<memory>") -> Corpus:
     return Corpus(documents=tuple(docs), source=source)
 
 
-def _read_text_file(path: Path, doc_id: str) -> str:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"document {doc_id}: not valid UTF-8 ({exc})") from exc
-
-
 def load_corpus(source, format: str = "auto") -> Corpus:
     """Load a corpus from a directory or a line-delimited file.
 
@@ -116,18 +106,16 @@ def load_corpus(source, format: str = "auto") -> Corpus:
         docs = []
         for p in files:
             doc_id = p.relative_to(path).as_posix()
-            docs.append(Document.from_text(doc_id, _read_text_file(p, doc_id)))
+            text = records.read_text(p, f"document {doc_id}")
+            docs.append(Document.from_text(doc_id, text))
         docs.sort(key=lambda d: d.id)
         return Corpus(documents=tuple(docs), source=str(path))
 
     if path.is_dir():
         raise ValidationError(f"{path} is a directory, not a line-delimited file")
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    # Decoded line by line, so a decode error names the document.
     docs = []
-    for lineno, line in enumerate(raw.split(b"\n"), start=1):
+    for lineno, line in enumerate(records.read_bytes(path).split(b"\n"), start=1):
         doc_id = f"{lineno:06d}"
         try:
             text = line.decode("utf-8")

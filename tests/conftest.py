@@ -3,34 +3,41 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from entropy_classifier.errors import ToolError
 from entropy_classifier.glossary import make_glossary
 from entropy_classifier.text import corpus_from_texts
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
+FINANCE_PHRASES = [
+    ("tax", "return"), ("interest", "rate"), ("dividend",),
+    ("audit",), ("portfolio",),
+]
+
+# 14 docs engineered so every keyword has nonzero df and scores vary
+BACKGROUND_TEXTS = [
+    f"the quick brown fox discussed a tax return and the interest rate "
+    f"with a portfolio audit team member number {i} while walking"
+    for i in range(12)
+] + [
+    "nothing relevant here at all just words and more words",
+    "dividend dividend audit portfolio interest rate tax return",
+]
+
+
 @pytest.fixture
 def finance_glossary():
-    return make_glossary("finance", [
-        ("tax", "return"), ("interest", "rate"), ("dividend",),
-        ("audit",), ("portfolio",),
-    ])
+    return make_glossary("finance", FINANCE_PHRASES)
 
 
 @pytest.fixture
 def small_background():
-    # 14 docs engineered so every keyword has nonzero df and scores vary
-    texts = [
-        f"the quick brown fox discussed a tax return and the interest rate "
-        f"with a portfolio audit team member number {i} while walking"
-        for i in range(12)
-    ]
-    texts.append("nothing relevant here at all just words and more words")
-    texts.append("dividend dividend audit portfolio interest rate tax return")
-    return corpus_from_texts(texts, source="<fixture:background>")
+    return corpus_from_texts(BACKGROUND_TEXTS, source="<fixture:background>")
 
 
 def random_glossary_and_doc(rng: random.Random, max_phrases: int = 20,
@@ -65,6 +72,38 @@ def write_corpus_dir(root: Path, texts: dict[str, str]) -> Path:
 def write_lines_file(path: Path, lines: list[str]) -> Path:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="session")
+def fuzz_file(tmp_path_factory):
+    """One scratch file path that every hypothesis example overwrites."""
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+# Values that stress a numeric or textual field of a record.
+_NASTY = [b"", b" ", b"#", b"\n", b"\r", b"\xff", b"\xe2\x80\xa8", b"nan", b"inf",
+          b"-inf", b"-0", b"1e999", b"9" * 400, b"0", b"-1", b"format_version 1"]
+
+
+@st.composite
+def mutations(draw, original: bytes) -> bytes:
+    """A few byte-level edits of original: deletions, insertions, overwrites,
+    and splices of stress values."""
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 12)))
+        chunk = draw(st.one_of(st.sampled_from(_NASTY), st.binary(max_size=8)))
+        data[i:j] = chunk
+    return bytes(data)
+
+
+def loads_or_refuses(load, path) -> None:
+    """Run a loader; a ToolError is an allowed outcome, anything else fails."""
+    try:
+        load(path)
+    except ToolError:
+        pass
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,10 +1,13 @@
 import math
+import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropy_classifier.background import compute_df, fit_standardization, idf_from_df, train
-from entropy_classifier.errors import ValidationError
+from entropy_classifier.errors import InputOutputError, ValidationError
 from entropy_classifier.glossary import make_glossary
 from entropy_classifier.model import (
     load_model,
@@ -15,6 +18,7 @@ from entropy_classifier.model import (
 from entropy_classifier.scoring import raw_score
 from entropy_classifier.text import corpus_from_texts
 
+from conftest import BACKGROUND_TEXTS, FINANCE_PHRASES, loads_or_refuses, mutations
 from oracles import naive_idf, naive_mean_std
 
 
@@ -213,6 +217,8 @@ class TestModelPersistence:
         (("kw 1 ", "kw 7 "), "dense and ascending"),
         (("kw 0 13 audit", "kw 0 99 audit"), "outside"),
         (("kw 0 13 audit", "kw 0 13 audits"), "glossary_digest does not match"),
+        # idf divides by n_docs + 1 as a float
+        (("n_docs 14", "n_docs " + "9" * 400), "n_docs is not a 64-bit integer"),
     ])
     def test_load_rejects_corruption(self, tmp_path, finance_glossary,
                                      small_background, mutation, message):
@@ -247,3 +253,51 @@ class TestModelPersistence:
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(ValidationError, match="no kw records"):
             load_model(path)
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch, finance_glossary,
+                                           small_background):
+        path = self._saved(tmp_path, finance_glossary, small_background)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError(5, "injected failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        m = set_bias_direct(train(finance_glossary, small_background), 1.5)
+        with pytest.raises(InputOutputError, match="cannot write"):
+            save_model(m, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+
+
+# Keyword tokens as the tokenizer emits them: lowercase letters and digits.
+_TOKENS = st.text(st.characters(whitelist_categories=("Ll", "Nd")), min_size=1, max_size=6)
+
+
+class TestModelFileProperties:
+    @given(
+        category=st.text(st.characters(blacklist_characters="\n",
+                                       blacklist_categories=("Cs",)), max_size=12),
+        extra=st.lists(st.lists(_TOKENS, min_size=1, max_size=3).map(tuple), max_size=5),
+        k=st.integers(1, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_load_of_save_is_identity(self, fuzz_file, category, extra, k):
+        glossary = make_glossary(category, FINANCE_PHRASES + extra)
+        m = train(glossary, corpus_from_texts(BACKGROUND_TEXTS), k)
+        save_model(m, fuzz_file)
+        assert load_model(fuzz_file) == m
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes_load_or_refuse(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        loads_or_refuses(load_model, fuzz_file)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_files_load_or_refuse(self, fuzz_file, data):
+        glossary = make_glossary("finance", FINANCE_PHRASES)
+        save_model(train(glossary, corpus_from_texts(BACKGROUND_TEXTS)), fuzz_file)
+        fuzz_file.write_bytes(data.draw(mutations(fuzz_file.read_bytes())))
+        loads_or_refuses(load_model, fuzz_file)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropy_classifier.background import train
 from entropy_classifier.calibration import (
@@ -47,8 +49,40 @@ class TestThresholdForScores:
     def test_bump_has_absolute_floor_near_zero(self):
         scores = [0.0, -1.0]
         bias, achieved = threshold_for_scores(scores, 0.4)
-        assert bias >= 1e-9
+        assert bias > 0.0
         assert achieved == 0.0
+
+    def test_near_tie_above_the_boundary_stays_tight(self):
+        # m = 2 with a tie at ranks 2 and 3 and the top score 5e-10 relative
+        # above them: the bias must still admit the top score.
+        scores = [1000 * (1 + 5e-10), 1000.0, 1000.0] + [0.0] * 997
+        bias, achieved = threshold_for_scores(scores, 0.002)
+        assert bias == math.nextafter(1000.0, math.inf)
+        assert achieved == 0.001
+
+    @given(
+        base=st.floats(min_value=-1e12, max_value=1e12),
+        counts=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+        n_low=st.integers(0, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_guarantee_and_tightness_on_adjacent_doubles(self, base, counts, n_low, data):
+        # counts[i] copies of the i-th double above base, plus n_low lower scores
+        scores, x = [base - 1.0] * n_low, base
+        for c in counts:
+            scores += [x] * c
+            x = math.nextafter(x, math.inf)
+        if not scores:
+            scores = [base]
+        n = len(scores)
+        m = data.draw(st.integers(0, n - 1))
+        bias, achieved = threshold_for_scores(scores, (m + 0.5) / n)
+        admitted = sum(1 for s in scores if s >= bias)
+        assert achieved == admitted / n
+        assert admitted <= m
+        next_below = max(s for s in scores if s < bias)
+        assert sum(1 for s in scores if s >= next_below) > m
 
     def test_negative_scores(self):
         scores = [-1.0, -2.0, -3.0, -4.0, -5.0]

@@ -1,9 +1,14 @@
-import pytest
+import argparse
+import stat
 
-from entropy_classifier.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entropy_classifier.cli import _resolve, main
 from entropy_classifier.model import load_model
 
-from conftest import write_corpus_dir, write_lines_file
+from conftest import loads_or_refuses, write_corpus_dir, write_lines_file
 
 GLOSSARY = "# finance terms\ntax return\ninterest rate\ndividend\naudit\nportfolio\n"
 
@@ -67,6 +72,20 @@ class TestTrain:
         assert run_train(workspace, category="a\nbias 9") == 1
         assert "newline" in capsys.readouterr().err
         assert not (workspace / "model.txt").exists()
+
+    def test_unencodable_category_keeps_existing_model(self, workspace):
+        # A command-line byte that is not UTF-8 arrives as a lone surrogate.
+        assert run_train(workspace) == 0
+        before = (workspace / "model.txt").read_bytes()
+        names = sorted(p.name for p in workspace.iterdir())
+        assert run_train(workspace, category="fin\udcff") == 1
+        assert (workspace / "model.txt").read_bytes() == before
+        assert sorted(p.name for p in workspace.iterdir()) == names
+
+    def test_unencodable_category_creates_no_file(self, workspace):
+        names = sorted(p.name for p in workspace.iterdir())
+        assert run_train(workspace, category="fin\udcff") == 1
+        assert sorted(p.name for p in workspace.iterdir()) == names
 
     def test_missing_background_dir_is_io_error(self, tmp_path):
         (tmp_path / "gloss.txt").write_text("audit\n", encoding="utf-8")
@@ -169,6 +188,12 @@ class TestCalibrate:
         model = load_model(workspace / "model.txt")
         assert model.bias != 3.0
 
+    def test_keeps_file_mode(self, workspace):
+        run_train(workspace)
+        (workspace / "model.txt").chmod(0o600)
+        assert self.calibrate(workspace, "--target-fpr", "0.1") == 0
+        assert stat.S_IMODE((workspace / "model.txt").stat().st_mode) == 0o600
+
     def test_direct_bias_mode(self, workspace, capsys):
         run_train(workspace)
         rc = main(["calibrate", "--model", str(workspace / "model.txt"),
@@ -231,6 +256,18 @@ class TestConfigFile:
         write_lines_file(workspace / "defaults.txt", ["k banana"])
         assert run_train(workspace, config=workspace / "defaults.txt") == 1
         assert "not a valid int" in capsys.readouterr().err
+
+
+    def test_indented_record_rejected(self, workspace, capsys):
+        write_lines_file(workspace / "defaults.txt", ["  k 25"])
+        assert run_train(workspace, config=workspace / "defaults.txt") == 1
+        assert "unknown or malformed" in capsys.readouterr().err
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_load_or_refuse(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        loads_or_refuses(lambda p: _resolve(argparse.Namespace(config=str(p))), fuzz_file)
 
 
 class TestThreadsEnvVar:

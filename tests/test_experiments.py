@@ -1,13 +1,12 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropy_classifier.errors import ValidationError
 from entropy_classifier.experiments import (
     CategorySpec,
     ExperimentConfig,
     bundled_golden_paths,
-    evaluate_pair,
     render_records,
     render_table,
     render_table_report,
@@ -20,7 +19,7 @@ from entropy_classifier.glossary import make_glossary
 from entropy_classifier.synthetic import SuiteParams, build_suite
 from entropy_classifier.text import corpus_from_texts
 
-from conftest import write_lines_file
+from conftest import loads_or_refuses, mutations, write_lines_file
 
 
 def tiny_config(n_categories=2, seed=5):
@@ -48,19 +47,6 @@ class TestSplitAlternating:
     def test_too_small_rejected(self):
         with pytest.raises(ValidationError, match="fewer than 2"):
             split_alternating(corpus_from_texts(["only"]))
-
-
-class TestEvaluatePair:
-    def test_swapping_corpora_swaps_components(self):
-        rng = random.Random(99)
-        a = corpus_from_texts([f"x {i}" for i in range(10)])
-        b = corpus_from_texts([f"y {i}" for i in range(7)])
-        for trial in range(20):
-            marked = {d.id for d in list(a) + list(b) if rng.random() < 0.5}
-            decide = lambda doc: doc.id in marked
-            ra, rb = evaluate_pair(decide, a, b)
-            rb2, ra2 = evaluate_pair(decide, b, a)
-            assert (ra, rb) == (ra2, rb2)
 
 
 class TestValidation:
@@ -246,8 +232,22 @@ class TestVerifyTable:
         (["format_version 1", "kind recall_pair", "row a 0.1 0.2", "shrug x"], "unknown record"),
         (["format_version 1", "kind recall_pair", "row a 0.1 0.2",
           "expect mean_a 0.1 nearly 0.1"], "malformed expect"),
+        (["format_version 1", "kind recall_pair", "  row a 0.1 0.2"], "unknown record ''"),
     ])
     def test_malformed_tables_rejected(self, tmp_path, lines, message):
         p = write_lines_file(tmp_path / "t.txt", lines)
         with pytest.raises(ValidationError, match=message):
             verify_table(p)
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes_load_or_refuse(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        loads_or_refuses(verify_table, fuzz_file)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_tables_load_or_refuse(self, fuzz_file, data):
+        original = data.draw(st.sampled_from(bundled_golden_paths())).read_bytes()
+        fuzz_file.write_bytes(data.draw(mutations(original)))
+        loads_or_refuses(verify_table, fuzz_file)

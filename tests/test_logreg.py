@@ -3,10 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from entropy_classifier.errors import ValidationError
 from entropy_classifier.logreg import (
+    LrModel,
     LrParams,
     _design_matrix,
     build_vocabulary,
@@ -24,7 +27,11 @@ from entropy_classifier.logreg import (
 )
 from entropy_classifier.text import Document, corpus_from_texts
 
+from conftest import loads_or_refuses, mutations
 from oracles import numeric_gradient
+
+# A small valid LR model file, the base of the corruption tests.
+LR_FILE = "format_version 1\nl2 0\nthreshold_bias 0\nfeat 0 aa 0.5\nintercept 0\n"
 
 
 def toy_problem(rng, n_samples=12, n_features=5):
@@ -227,3 +234,73 @@ class TestLrPersistence:
                      encoding="utf-8")
         with pytest.raises(ValidationError, match="unsupported header"):
             load_lr_model(p)
+
+    @pytest.mark.parametrize("old,new", [
+        ("l2 0", "l2 nan"),
+        ("threshold_bias 0", "threshold_bias inf"),
+        ("feat 0 aa 0.5", "feat 0 aa nan"),
+        ("intercept 0", "intercept -inf"),
+    ])
+    def test_load_rejects_non_finite(self, tmp_path, old, new):
+        p = tmp_path / "lr.txt"
+        p.write_text(LR_FILE.replace(old, new), encoding="utf-8")
+        with pytest.raises(ValidationError, match="must be finite"):
+            load_lr_model(p)
+
+    @pytest.mark.parametrize("token", ["", "a\tb", "a\u2028b"])
+    def test_load_rejects_token_that_save_refuses(self, tmp_path, token):
+        p = tmp_path / "lr.txt"
+        p.write_text(LR_FILE.replace("feat 0 aa", f"feat 0 {token}"), encoding="utf-8")
+        with pytest.raises(ValidationError, match="expected feat record"):
+            load_lr_model(p)
+
+    @pytest.mark.parametrize("token,weight,l2,threshold", [
+        ("a b", 0.5, 0.0, 0.0),
+        ("", 0.5, 0.0, 0.0),
+        ("a\tb", 0.5, 0.0, 0.0),
+        ("aa", math.nan, 0.0, 0.0),
+        ("aa", 0.5, math.inf, 0.0),
+        ("aa", 0.5, 0.0, -math.inf),
+    ])
+    def test_save_refuses_what_load_rejects(self, tmp_path, token, weight, l2, threshold):
+        model = LrModel(vocabulary={token: 0}, weights=np.array([weight, 0.0]),
+                        l2=l2, threshold_bias=threshold)
+        with pytest.raises(ValidationError, match="cannot be saved"):
+            save_lr_model(model, tmp_path / "lr.txt")
+        assert not (tmp_path / "lr.txt").exists()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Any text without whitespace that UTF-8 can encode.
+_TOKENS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                  min_size=1, max_size=8)
+
+
+class TestLrFileProperties:
+    @given(tokens=st.lists(_TOKENS, unique=True, max_size=8), l2=_FINITE,
+           threshold=_FINITE, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_load_of_save_is_identity(self, fuzz_file, tokens, l2, threshold, data):
+        weights = data.draw(st.lists(_FINITE, min_size=len(tokens) + 1,
+                                     max_size=len(tokens) + 1))
+        model = LrModel(vocabulary={t: i for i, t in enumerate(tokens)},
+                        weights=np.array(weights, dtype=np.float64),
+                        l2=l2, threshold_bias=threshold)
+        save_lr_model(model, fuzz_file)
+        loaded = load_lr_model(fuzz_file)
+        assert loaded.vocabulary == model.vocabulary
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.l2.hex() == l2.hex()
+        assert loaded.threshold_bias.hex() == threshold.hex()
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes_load_or_refuse(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        loads_or_refuses(load_lr_model, fuzz_file)
+
+    @given(mutations(LR_FILE.encode("utf-8")))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_files_load_or_refuse(self, fuzz_file, mutated):
+        fuzz_file.write_bytes(mutated)
+        loads_or_refuses(load_lr_model, fuzz_file)
