@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .glossary import Glossary, Matcher
+from .glossary import Glossary, match_document
 from .model import BackgroundModel, idf_from_df
 from .scoring import _score_profile
 from .text import Corpus
@@ -21,11 +21,9 @@ def compute_df(glossary: Glossary, corpus: Corpus) -> tuple[int, dict[int, int]]
     least once. Every keyword id is present in the result, zeros included."""
     if len(corpus) == 0:
         raise ValidationError("background corpus must be non-empty")
-    matcher = Matcher(glossary)
     df = {kid: 0 for kid in range(len(glossary.phrases))}
     for doc in corpus:
-        profile = matcher.profile(doc.tokens)
-        for kid in profile.tf:
+        for kid in match_document(glossary, doc).tf:
             df[kid] += 1
     return len(corpus), df
 
@@ -36,8 +34,7 @@ def fit_standardization(glossary: Glossary, idf: dict[int, float], k: int,
     over the background corpus, accumulated in corpus order."""
     if len(corpus) == 0:
         raise ValidationError("background corpus must be non-empty")
-    matcher = Matcher(glossary)
-    scores = [_score_profile(matcher.profile(doc.tokens), len(doc.tokens), idf, k,
+    scores = [_score_profile(match_document(glossary, doc), len(doc.tokens), idf, k,
                              entropy_weighted)[-1]
               for doc in corpus]
     n = len(scores)
@@ -52,14 +49,15 @@ def train(glossary: Glossary, corpus: Corpus, k: int = 100,
           entropy_weighted: bool = True) -> BackgroundModel:
     """df -> idf -> (mu, sigma), assembled into a BackgroundModel with the
     default bias of 3.0 (three standard deviations above the background mean)."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    # 64 bits, like a k read from a model file, so L converts to a float.
+    if not 1 <= k < 2**63:
+        raise ValidationError(f"k must be >= 1 and below 2**63, got {k}")
     n_docs, df = compute_df(glossary, corpus)
     idf = {kid: idf_from_df(df[kid], n_docs) for kid in sorted(df)}
     mu, sigma = fit_standardization(glossary, idf, k, corpus, entropy_weighted)
     return BackgroundModel(
         category=glossary.category,
-        glossary_digest=glossary.digest(),
+        glossary_digest=glossary.cached_digest,
         phrases=glossary.phrases,
         n_docs=n_docs,
         df=df,

@@ -9,18 +9,31 @@ Matching is leftmost-longest and non-overlapping: scanning left to right, the
 longest phrase starting at the current position wins and consumes its tokens;
 positions with no match advance by one token. This prevents a phrase and its
 prefix (e.g. "tax return" and "tax") from both counting at the same spot.
+Since a position with no match only advances by one token, Matcher.profile
+visits just the positions whose token begins some phrase (a key of the trie's
+root) and that the previous match did not consume; skipping the others
+changes no result.
+
+A glossary owns its caches: its digest and its compiled Matcher are computed
+on first use and stored on the instance, and the Matcher keeps a memo of match
+profiles keyed weakly by Document. match_document reads that memo, so each
+(glossary, document) pair is matched at most once while both objects live;
+the memo entry goes when the document does, and all of it when the glossary
+does. Nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 from . import records
 from .errors import ValidationError
-from .text import tokenize
+from .text import Document, tokenize
 
 # Terminal marker inside trie nodes. Token keys are strings, so None is free.
 _TERM = None
@@ -47,6 +60,18 @@ class Glossary:
             h.update(" ".join(phrase).encode("utf-8"))
             h.update(b"\n")
         return h.hexdigest()
+
+    # cached_property writes the instance __dict__ directly, so it works on a
+    # frozen dataclass; the values live and die with this glossary.
+    @cached_property
+    def cached_digest(self) -> str:
+        """digest(), computed on first use."""
+        return self.digest()
+
+    @cached_property
+    def matcher(self) -> Matcher:
+        """The compiled Matcher, built on first use."""
+        return Matcher(self)
 
 
 @dataclass(frozen=True)
@@ -104,42 +129,44 @@ class Matcher:
                 node = node.setdefault(tok, {})
             node[_TERM] = kid
         self._root = root
+        self._memo = weakref.WeakKeyDictionary()  # Document -> MatchProfile
 
     def profile(self, tokens) -> MatchProfile:
         tf: dict[int, int] = {}
         root = self._root
-        i, n = 0, len(tokens)
-        while i < n:
-            node = root.get(tokens[i])
+        n = len(tokens)
+        end = 0  # first position not consumed by the previous match
+        for i in compress(range(n), map(root.__contains__, tokens)):
+            if i < end:
+                continue
+            node = root[tokens[i]]
             best_id = None
-            best_end = i
             j = i
             while node is not None:
                 j += 1
                 kid = node.get(_TERM)
                 if kid is not None:
-                    best_id, best_end = kid, j
+                    best_id, end = kid, j
                 if j >= n:
                     break
                 node = node.get(tokens[j])
-            if best_id is None:
-                i += 1
-            else:
+            if best_id is not None:
                 tf[best_id] = tf.get(best_id, 0) + 1
-                i = best_end
         return MatchProfile(tf=dict(sorted(tf.items())), total_matches=sum(tf.values()))
-
-
-@lru_cache(maxsize=32)
-def _cached_digest(glossary: Glossary) -> str:
-    return glossary.digest()
-
-
-@lru_cache(maxsize=32)
-def _cached_matcher(glossary: Glossary) -> Matcher:
-    return Matcher(glossary)
 
 
 def match(glossary: Glossary, tokens) -> MatchProfile:
     """Leftmost-longest non-overlapping match counts for one token sequence."""
-    return _cached_matcher(glossary).profile(tuple(tokens))
+    return glossary.matcher.profile(tuple(tokens))
+
+
+def match_document(glossary: Glossary, doc: Document) -> MatchProfile:
+    """match(glossary, doc.tokens), computed once per (glossary, document).
+
+    The profile is shared by every caller, so it must not be modified.
+    """
+    matcher = glossary.matcher
+    profile = matcher._memo.get(doc)
+    if profile is None:
+        profile = matcher._memo[doc] = matcher.profile(doc.tokens)
+    return profile

@@ -21,9 +21,11 @@ tfidf_over_L, the entropy and the raw score; raw_score and
 background.fit_standardization call it. score_corpus is the bulk path: it
 checks the glossary and sigma once before the first document and yields
 score_document (raw_score, then predict) for each document, so every corpus
-is standardized and thresholded by predict alone. The glossary digest is
-computed once per glossary and cached, so the per-document check in
-raw_score is a cache lookup.
+is standardized and thresholded by predict alone. The caches live on the
+glossary (see glossary.py) and die with it: raw_score compares the model
+against the glossary's cached digest and takes the document's match profile
+from glossary.match_document, so scoring a document that training,
+calibration or an earlier score already matched costs no second match.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
-from .glossary import Glossary, MatchProfile, _cached_digest, match
+from .glossary import Glossary, MatchProfile, match_document
+# Not called here: the benchmark tracer (perfbench/tracer.py) patches match
+# under this module's name, so the name must stay bound.
+from .glossary import match  # noqa: F401
 from .model import BackgroundModel
 from .text import Corpus, Document
 
@@ -120,7 +125,7 @@ class ScoreBreakdown:
 
 
 def _check_digest(glossary: Glossary, model: BackgroundModel) -> None:
-    if _cached_digest(glossary) != model.glossary_digest:
+    if glossary.cached_digest != model.glossary_digest:
         raise ValidationError("model was trained for a different glossary")
 
 
@@ -148,7 +153,7 @@ def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: 
 def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
     """Compute the breakdown through raw_score (no standardization yet)."""
     _check_digest(glossary, model)
-    tf = match(glossary, doc.tokens)
+    tf = match_document(glossary, doc)
     L, p, contributions, tfidf_over_L, entropy, s = _score_profile(
         tf, len(doc.tokens), model.idf, model.k, model.entropy_weighted)
     return ScoreBreakdown(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from entropy_classifier.errors import ToolError
-from entropy_classifier.glossary import make_glossary
+from entropy_classifier.glossary import Matcher, make_glossary
 from entropy_classifier.text import corpus_from_texts
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -57,6 +57,19 @@ def random_glossary_and_doc(rng: random.Random, max_phrases: int = 20,
     rng.shuffle(units)
     tokens = [tok for unit in units for tok in unit][:max_tokens]
     return phrases, tokens
+
+
+def count_match_calls(monkeypatch) -> list[int]:
+    """Count Matcher.profile calls from now on; the count is the list's item."""
+    calls = [0]
+    profile = Matcher.profile
+
+    def counting(self, tokens):
+        calls[0] += 1
+        return profile(self, tokens)
+
+    monkeypatch.setattr(Matcher, "profile", counting)
+    return calls
 
 
 def write_corpus_dir(root: Path, texts: dict[str, str]) -> Path:

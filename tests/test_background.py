@@ -18,7 +18,13 @@ from entropy_classifier.model import (
 from entropy_classifier.scoring import raw_score
 from entropy_classifier.text import corpus_from_texts
 
-from conftest import BACKGROUND_TEXTS, FINANCE_PHRASES, loads_or_refuses, mutations
+from conftest import (
+    BACKGROUND_TEXTS,
+    FINANCE_PHRASES,
+    count_match_calls,
+    loads_or_refuses,
+    mutations,
+)
 from oracles import naive_idf, naive_mean_std
 
 
@@ -132,6 +138,18 @@ class TestTrain:
     def test_invalid_k(self, finance_glossary, small_background):
         with pytest.raises(ValidationError, match="k must be >= 1"):
             train(finance_glossary, small_background, k=0)
+        with pytest.raises(ValidationError, match="below 2\\*\\*63"):
+            train(finance_glossary, small_background, k=2**63)
+        assert train(finance_glossary, small_background, k=2**63 - 1).k == 2**63 - 1
+
+    def test_matches_each_document_once(self, finance_glossary, small_background,
+                                        monkeypatch):
+        calls = count_match_calls(monkeypatch)
+        train(finance_glossary, small_background)
+        assert calls == [len(small_background)]
+        # The ablation model of the same glossary reuses those matches.
+        train(finance_glossary, small_background, entropy_weighted=False)
+        assert calls == [len(small_background)]
 
 
 class TestModelPersistence:

@@ -87,6 +87,11 @@ class TestTrain:
         assert run_train(workspace, category="fin\udcff") == 1
         assert sorted(p.name for p in workspace.iterdir()) == names
 
+    def test_k_beyond_64_bits_exits_1(self, workspace, capsys):
+        assert run_train(workspace, k="9" * 400) == 1
+        assert "k must be >= 1 and below 2**63" in capsys.readouterr().err
+        assert not (workspace / "model.txt").exists()
+
     def test_missing_background_dir_is_io_error(self, tmp_path):
         (tmp_path / "gloss.txt").write_text("audit\n", encoding="utf-8")
         rc = main(["train", "--glossary", str(tmp_path / "gloss.txt"),
@@ -258,6 +263,12 @@ class TestConfigFile:
         assert "not a valid int" in capsys.readouterr().err
 
 
+    def test_k_beyond_64_bits_rejected(self, workspace, capsys):
+        write_lines_file(workspace / "defaults.txt", ["k " + "9" * 400])
+        assert run_train(workspace, config=workspace / "defaults.txt") == 1
+        assert "k must be >= 1 and below 2**63" in capsys.readouterr().err
+        assert not (workspace / "model.txt").exists()
+
     def test_indented_record_rejected(self, workspace, capsys):
         write_lines_file(workspace / "defaults.txt", ["  k 25"])
         assert run_train(workspace, config=workspace / "defaults.txt") == 1
@@ -313,6 +324,17 @@ class TestExperimentCommands:
         assert "category cat0 recall_a" in captured.out
         assert "category cat1 recall_a" in captured.out
         assert "experiment exp1" in captured.err
+
+    def test_exp1_k_beyond_64_bits_exits_1(self, tmp_path, capsys):
+        ws = self.build_exp_workspace(tmp_path)
+        rc = main(["exp1", "--background", str(ws / "bg.txt"),
+                   "--negatives", str(ws / "negs.txt"),
+                   "--category", "cat0", str(ws / "g0.txt"), str(ws / "p0.txt"),
+                   "--target-fpr", "0.1", "--k", "9" * 400])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be >= 1 and below 2**63" in captured.err
 
     def test_exp2_runs(self, tmp_path, capsys):
         ws = self.build_exp_workspace(tmp_path)

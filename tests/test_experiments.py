@@ -19,7 +19,7 @@ from entropy_classifier.glossary import make_glossary
 from entropy_classifier.synthetic import SuiteParams, build_suite
 from entropy_classifier.text import corpus_from_texts
 
-from conftest import loads_or_refuses, mutations, write_lines_file
+from conftest import count_match_calls, loads_or_refuses, mutations, write_lines_file
 
 
 def tiny_config(n_categories=2, seed=5):
@@ -102,6 +102,13 @@ class TestExperiment1:
         assert report.aggregate["mean_recall_a"] == pytest.approx(mean_a, rel=1e-14)
         assert report.aggregate["mean_recall_b"] == pytest.approx(mean_b, rel=1e-14)
         assert report.anova is not None
+
+    def test_matches_each_document_once_per_category(self, monkeypatch):
+        cfg = tiny_config()
+        calls = count_match_calls(monkeypatch)
+        run_experiment1(cfg)
+        assert calls == [sum(len(cfg.background) + len(cfg.negatives) + len(s.positives)
+                             for s in cfg.categories)]
 
     def test_single_category_omits_anova(self):
         report = run_experiment1(tiny_config(n_categories=1))

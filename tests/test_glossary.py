@@ -11,7 +11,9 @@ from entropy_classifier.glossary import (
     load_glossary,
     make_glossary,
     match,
+    match_document,
 )
+from entropy_classifier.text import Document
 
 from conftest import random_glossary_and_doc
 from oracles import naive_match
@@ -143,4 +145,10 @@ class TestMatching:
         ).map(sorted).map(tuple))
         tokens = data.draw(st.lists(st.sampled_from(vocab), max_size=40))
         g = Glossary(category="h", phrases=tuple(phrases))
-        assert match(g, tokens).tf == naive_match(phrases, tokens)
+        profile = match(g, tokens)
+        naive = naive_match(phrases, tokens)
+        assert profile.tf == naive
+        assert profile.total_matches == sum(naive.values())
+        doc = Document.from_text("d", " ".join(tokens))
+        assert match_document(g, doc) == profile
+        assert match_document(g, doc) is match_document(g, doc)

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from entropy_classifier.scoring import (
 )
 from entropy_classifier.text import Document, corpus_from_texts
 
-from conftest import random_glossary_and_doc
+from conftest import BACKGROUND_TEXTS, FINANCE_PHRASES, random_glossary_and_doc
 from oracles import naive_pipeline
 
 
@@ -199,6 +201,22 @@ class TestRawScore:
         b = raw_score(Document.from_text("d", "a b"), g, m)
         assert b.raw_score == b.tfidf_over_L
         assert b.entropy > 0  # breakdown still reports the true entropy
+
+
+class TestCacheLifetime:
+    def test_caches_die_with_the_glossary_and_the_documents(self):
+        glossary = make_glossary("finance", FINANCE_PHRASES)
+        corpus = corpus_from_texts(BACKGROUND_TEXTS)
+        model = train(glossary, corpus)
+        assert all(b.raw_score >= 0 for b in score_corpus(corpus, glossary, model))
+        profile = weakref.ref(raw_score(corpus.documents[-1], glossary, model).tf)
+        del corpus
+        gc.collect()
+        assert profile() is None
+        glossary_ref = weakref.ref(glossary)
+        del glossary
+        gc.collect()
+        assert glossary_ref() is None
 
 
 class TestPredict:
