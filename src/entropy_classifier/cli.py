@@ -45,7 +45,6 @@ from .text import load_corpus
 _CONFIG_DEFAULTS = {
     "k": 100,
     "target_fpr": 0.0005,
-    "format": "auto",
     "l2": 1e-4,
     "epochs": 500,
     "learning_rate": 0.5,
@@ -65,8 +64,6 @@ def _build_parser() -> _Parser:
 
     def common(p, output=True):
         p.add_argument("--config", help="key-value file supplying option defaults")
-        p.add_argument("--format", choices=["auto", "directory", "line-delimited"],
-                       default=None, help="corpus layout (default: auto-detect)")
         if output:
             p.add_argument("--output", "-o", default=None,
                            help="write results here instead of stdout")
@@ -176,7 +173,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     glossary = load_glossary(args.glossary, category=args.category)
-    corpus = load_corpus(args.background, args.format)
+    corpus = load_corpus(args.background)
     model = train(glossary, corpus, args.k)
     save_model(model, args.out)
     print(
@@ -200,7 +197,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if args.glossary is None:
         raise ValidationError("calibrate --negatives needs --glossary")
     glossary = load_glossary(args.glossary)
-    negatives = load_corpus(args.negatives, args.format)
+    negatives = load_corpus(args.negatives)
     result = calibrate_fpr(model, glossary, negatives, args.target_fpr)
     rewrite_bias_line(args.model, result.bias)
     _emit(
@@ -220,7 +217,7 @@ _SCORE_COLUMNS = ("doc_id", "word_count", "L", "tfidf_over_L", "entropy",
 def _cmd_score(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     glossary = load_glossary(args.glossary)
-    corpus = load_corpus(args.input, args.format)
+    corpus = load_corpus(args.input)
     columns = _SCORE_COLUMNS + (("contributions",) if args.explain else ())
     lines = ["# " + "\t".join(columns)]
     for b in score_corpus(corpus, glossary, model):
@@ -248,11 +245,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     glossary = load_glossary(args.glossary)
-    positives = load_corpus(args.positives, args.format)
+    positives = load_corpus(args.positives)
     r = recall(lambda b: b.positive, score_corpus(positives, glossary, model))
     lines = [f"recall {format_float(r)}", f"n_positives {len(positives)}"]
     if args.negatives is not None:
-        negatives = load_corpus(args.negatives, args.format)
+        negatives = load_corpus(args.negatives)
         fpr = measure_fpr(model, glossary, negatives)
         lines.append(f"fpr {format_float(fpr)}")
         lines.append(f"n_negatives {len(negatives)}")
@@ -261,14 +258,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _experiment_config(args: argparse.Namespace, with_b: bool) -> ExperimentConfig:
-    background = load_corpus(args.background, args.format)
-    negatives = load_corpus(args.negatives, args.format)
+    background = load_corpus(args.background)
+    negatives = load_corpus(args.negatives)
     specs = []
     for group in args.categories:
         name, glossary_path = group[0], group[1]
         glossary = load_glossary(glossary_path, category=name)
-        positives = load_corpus(group[2], args.format)
-        positives_b = load_corpus(group[3], args.format) if with_b else None
+        positives = load_corpus(group[2])
+        positives_b = load_corpus(group[3]) if with_b else None
         specs.append(CategorySpec(
             name=name, glossary=glossary,
             positives=positives, positives_b=positives_b,

@@ -76,7 +76,13 @@ class Glossary:
 
 @dataclass(frozen=True)
 class MatchProfile:
-    """Per-document keyword term frequencies; zero-count keys are omitted."""
+    """Per-document keyword term frequencies; zero-count keys are omitted.
+
+    Invariant: tf iterates in ascending keyword id order, as Matcher.profile
+    builds it, and total_matches is the sum of its counts. The scoring kernel
+    reads tf once in that order and does not sort it, so the order fixes the
+    summation order of every score.
+    """
 
     tf: dict[int, int]
     total_matches: int

@@ -119,8 +119,11 @@ def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()
         raise ValidationError("LR training needs non-empty positive and negative corpora")
     if params.epochs < 0:
         raise ValidationError(f"epochs must be >= 0, got {params.epochs}")
-    if params.l2 < 0:
-        raise ValidationError(f"l2 must be >= 0, got {params.l2}")
+    for name in ("l2", "learning_rate"):
+        value = getattr(params, name)
+        # A negative rate would climb the loss; nan/inf only diverge.
+        if not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"{name} must be finite and >= 0, got {value}")
     docs = list(positives) + list(negatives)
     y = np.concatenate([
         np.ones(len(positives), dtype=np.float64),
@@ -167,8 +170,6 @@ def lr_decision(model: LrModel, doc: Document) -> bool:
 def calibrate_lr_threshold(model: LrModel, negatives: Corpus, target_fpr: float) -> LrModel:
     """Threshold the logits with the same tight FPR rule the knowledge-based
     bias uses."""
-    if len(negatives) == 0:
-        raise ValidationError("negative corpus must be non-empty")
     logits = [lr_logit(model, doc) for doc in negatives]
     bias, _achieved = threshold_for_scores(logits, target_fpr)
     return replace(model, threshold_bias=bias)

@@ -52,10 +52,6 @@ class BackgroundModel:
     bias: float = 3.0
     entropy_weighted: bool = True
 
-    def glossary(self) -> Glossary:
-        """Rebuild the glossary this model was trained for."""
-        return Glossary(category=self.category, phrases=self.phrases)
-
 
 def idf_from_df(df: int, n_docs: int) -> float:
     """Smoothed idf: ln((n_docs+1)/(df+1)) + 1.

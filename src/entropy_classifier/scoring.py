@@ -16,8 +16,10 @@ For ablation models (entropy_weighted=False) the raw score is the abundance
 alone; the breakdown still records the true entropy for inspection.
 
 This module is the only place a document is scored. The private kernel
-_score_profile turns one match profile into L, the per-keyword contributions,
-tfidf_over_L, the entropy and the raw score; raw_score and
+_score_profile is the only code that computes the raw score: it reads one
+match profile once, in ascending keyword id order, and returns L, the
+per-keyword contributions, tfidf_over_L, the entropy (through shannon_entropy,
+the one entropy formula) and the raw score; raw_score and
 background.fit_standardization call it. score_corpus is the bulk path: it
 checks the glossary and sigma once before the first document and yields
 score_document (raw_score, then predict) for each document, so every corpus
@@ -41,42 +43,6 @@ from .glossary import Glossary, MatchProfile, match_document
 from .glossary import match  # noqa: F401
 from .model import BackgroundModel
 from .text import Corpus, Document
-
-
-def effective_length(word_count: int, k: int) -> int:
-    """Regularized length L = max(k, word_count)."""
-    if word_count < 0:
-        raise ValueError(f"word_count must be >= 0, got {word_count}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return max(k, word_count)
-
-
-def per_keyword_contributions(tf: MatchProfile, idf: dict[int, float], L: int) -> dict[int, float]:
-    """Contribution tf_w * idf_w / L per matched keyword, ascending id order."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    out: dict[int, float] = {}
-    for kid in sorted(tf.tf):
-        if kid not in idf:
-            raise ValidationError(
-                f"keyword id {kid} has no idf entry: model does not cover this glossary"
-            )
-        out[kid] = tf.tf[kid] * idf[kid] / L
-    return out
-
-
-def abundance(tf: MatchProfile, idf: dict[int, float], L: int) -> float:
-    """Normalized tf-idf mass: sum_w tf_w * idf_w / L."""
-    return sum(per_keyword_contributions(tf, idf, L).values())
-
-
-def match_distribution(tf: MatchProfile) -> dict[int, float]:
-    """p_w = tf_w / total_matches; empty when nothing matched."""
-    if tf.total_matches == 0:
-        return {}
-    total = tf.total_matches
-    return {kid: count / total for kid, count in sorted(tf.tf.items())}
 
 
 def shannon_entropy(p: dict[int, float]) -> float:
@@ -114,7 +80,6 @@ class ScoreBreakdown:
     word_count: int
     effective_length: int
     tf: MatchProfile
-    p: dict[int, float]
     per_keyword: dict[int, float]
     tfidf_over_L: float
     entropy: float
@@ -136,32 +101,39 @@ def _check_sigma(model: BackgroundModel) -> None:
 
 def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: int,
                    entropy_weighted: bool):
-    """The scoring kernel: (L, p, per_keyword, tfidf_over_L, entropy, raw score).
+    """The scoring kernel: (L, per_keyword, tfidf_over_L, entropy, raw score).
 
-    Plain values, no breakdown object, so bulk training allocates nothing
-    extra per document. Sums run over ascending keyword ids.
+    The only code that computes the raw score. Plain values, no breakdown
+    object, so bulk training allocates nothing extra per document. It reads
+    tf once, in the ascending id order that MatchProfile guarantees, so every
+    sum runs over ascending keyword ids. L >= k >= 1 because train and
+    load_model bound k.
     """
-    L = effective_length(word_count, k)
-    contributions = per_keyword_contributions(tf, idf, L)
+    L = max(k, word_count)
+    try:
+        contributions = {kid: n * idf[kid] / L for kid, n in tf.tf.items()}
+    except KeyError as exc:
+        raise ValidationError(
+            f"keyword id {exc.args[0]} has no idf entry: model does not cover this glossary"
+        ) from None
     tfidf_over_L = sum(contributions.values())
-    p = match_distribution(tf)
-    entropy = shannon_entropy(p)
+    total = tf.total_matches
+    entropy = shannon_entropy({kid: n / total for kid, n in tf.tf.items()})
     s = entropy * tfidf_over_L if entropy_weighted else tfidf_over_L
-    return L, p, contributions, tfidf_over_L, entropy, s
+    return L, contributions, tfidf_over_L, entropy, s
 
 
 def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
     """Compute the breakdown through raw_score (no standardization yet)."""
     _check_digest(glossary, model)
     tf = match_document(glossary, doc)
-    L, p, contributions, tfidf_over_L, entropy, s = _score_profile(
+    L, contributions, tfidf_over_L, entropy, s = _score_profile(
         tf, len(doc.tokens), model.idf, model.k, model.entropy_weighted)
     return ScoreBreakdown(
         doc_id=doc.id,
         word_count=len(doc.tokens),
         effective_length=L,
         tf=tf,
-        p=p,
         per_keyword=contributions,
         tfidf_over_L=tfidf_over_L,
         entropy=entropy,

@@ -5,10 +5,13 @@ text; everything else separates tokens. No stemming, no stop words, and digits
 are kept so terms like "401k" survive. The token count of a document defines
 its word count everywhere else in the package.
 
-Corpora come from disk in two layouts: a directory (one document per regular
-file, id = path relative to the directory) or a line-delimited file (one
-document per non-empty line, id = zero-padded physical line number). Documents
-are always ordered ascending by id so downstream statistics are reproducible.
+Corpora come from disk in two layouts, told apart by the path itself: a
+directory (one document per regular file, id = path relative to the
+directory) or any other path, read as a line-delimited file (one document per
+non-empty line, id = zero-padded physical line number). Documents are always
+ordered ascending by id so downstream statistics are reproducible. A Document
+is equal only to itself, so two documents with the same fields are still two
+documents, each with its own match memo entry.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ def tokenize(raw_text: str) -> list[str]:
     return _WORD_RE.findall(raw_text.lower())
 
 
-@dataclass(frozen=True)
+# eq=False: a Document compares and hashes by identity, so a match memo keyed
+# by it costs one pointer hash per lookup instead of hashing every token.
+@dataclass(frozen=True, eq=False)
 class Document:
     """One unit of classifiable text; tokens are tokenize(raw_text)."""
 
@@ -81,24 +86,19 @@ def corpus_from_texts(texts, ids=None, source: str = "<memory>") -> Corpus:
     return Corpus(documents=tuple(docs), source=source)
 
 
-def load_corpus(source, format: str = "auto") -> Corpus:
+def load_corpus(source) -> Corpus:
     """Load a corpus from a directory or a line-delimited file.
 
-    format: "directory", "line-delimited", or "auto" (decide by path type).
-    Blank lines in line-delimited files are skipped but still consume a line
-    number, so ids always point back at the physical line.
+    A directory holds one document per regular file; any other path is read
+    as a line-delimited file. Blank lines in line-delimited files are skipped
+    but still consume a line number, so ids always point back at the
+    physical line.
     """
     path = Path(source)
-    if format not in ("auto", "directory", "line-delimited"):
-        raise ValidationError(f"unknown corpus format: {format!r}")
     if not path.exists():
         raise InputOutputError(f"cannot read {path}: no such file or directory")
-    if format == "auto":
-        format = "directory" if path.is_dir() else "line-delimited"
 
-    if format == "directory":
-        if not path.is_dir():
-            raise ValidationError(f"{path} is not a directory")
+    if path.is_dir():
         try:
             files = [p for p in sorted(path.rglob("*")) if p.is_file()]
         except OSError as exc:
@@ -111,8 +111,6 @@ def load_corpus(source, format: str = "auto") -> Corpus:
         docs.sort(key=lambda d: d.id)
         return Corpus(documents=tuple(docs), source=str(path))
 
-    if path.is_dir():
-        raise ValidationError(f"{path} is a directory, not a line-delimited file")
     # Decoded line by line, so a decode error names the document.
     docs = []
     for lineno, line in enumerate(records.read_bytes(path).split(b"\n"), start=1):

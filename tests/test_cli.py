@@ -351,6 +351,31 @@ class TestExperimentCommands:
         assert "category cat0/lr" in out
         assert "category cat0/kb" in out
 
+    @pytest.mark.parametrize("flags,config,message", [
+        (["--learning-rate", "-0.5"], None, "learning_rate must be finite and >= 0"),
+        (["--learning-rate", "inf"], None, "learning_rate must be finite and >= 0"),
+        (["--l2", "nan"], None, "l2 must be finite and >= 0"),
+        ([], "l2 inf", "l2 must be finite and >= 0"),
+        ([], "learning_rate -0.5", "learning_rate must be finite and >= 0"),
+    ], ids=["flag-negative-rate", "flag-inf-rate", "flag-nan-l2", "config-inf-l2",
+            "config-negative-rate"])
+    def test_exp2_bad_lr_hyperparameters_exit_1(self, tmp_path, capsys, flags, config,
+                                                  message):
+        ws = self.build_exp_workspace(tmp_path)
+        if config is not None:
+            write_lines_file(ws / "defaults.txt", [config])
+            flags = flags + ["--config", str(ws / "defaults.txt")]
+        rc = main(["exp2", "--background", str(ws / "bg.txt"),
+                   "--negatives", str(ws / "negs.txt"),
+                   "--category", "cat0", str(ws / "g0.txt"),
+                   str(ws / "p0.txt"), str(ws / "p0b.txt"),
+                   "--target-fpr", "0.1", "--k", "10", "--epochs", "20"] + flags)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "diverged" not in captured.err
+
     def test_exp1_output_file(self, tmp_path):
         ws = self.build_exp_workspace(tmp_path)
         out_file = ws / "records.txt"

@@ -152,3 +152,13 @@ class TestMatching:
         doc = Document.from_text("d", " ".join(tokens))
         assert match_document(g, doc) == profile
         assert match_document(g, doc) is match_document(g, doc)
+
+    def test_equal_documents_get_separate_memo_entries(self):
+        # Documents compare by identity, so the memo never hashes tokens.
+        g = make_glossary("x", [("a",)])
+        d1, d2 = Document.from_text("d", "a a"), Document.from_text("d", "a a")
+        assert d1 != d2
+        p1, p2 = match_document(g, d1), match_document(g, d2)
+        assert p1 is not p2
+        assert p1 == p2
+        assert len(g.matcher._memo) == 2

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,15 @@ class TestTrainLr:
         with np.errstate(over="ignore"):
             with pytest.raises(ValidationError, match="LR training diverged at epoch"):
                 train_lr(pos, neg, LrParams(l2=1.0, epochs=200, learning_rate=1e9))
+
+    @pytest.mark.parametrize("name,value", [
+        ("l2", -1e-4), ("l2", math.nan), ("l2", math.inf),
+        ("learning_rate", -0.5), ("learning_rate", math.nan), ("learning_rate", math.inf),
+    ])
+    def test_invalid_hyperparameters_rejected(self, name, value):
+        pos, neg = make_training_corpora()
+        with pytest.raises(ValidationError, match=f"{name} must be finite and >= 0"):
+            train_lr(pos, neg, replace(LrParams(), **{name: value}))
 
     def test_empty_corpora_rejected(self):
         pos, neg = make_training_corpora()

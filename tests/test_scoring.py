@@ -10,13 +10,9 @@ from hypothesis import strategies as st
 
 from entropy_classifier.background import train
 from entropy_classifier.errors import ValidationError
-from entropy_classifier.glossary import Glossary, MatchProfile, make_glossary
+from entropy_classifier.glossary import Glossary, make_glossary
 from entropy_classifier.model import BackgroundModel
 from entropy_classifier.scoring import (
-    abundance,
-    effective_length,
-    match_distribution,
-    per_keyword_contributions,
     predict,
     raw_score,
     score_corpus,
@@ -49,46 +45,54 @@ def make_model(glossary, idf, mu=0.0, sigma=1.0, bias=3.0, k=100,
     )
 
 
+def score_text(text, phrases, idf, k=100):
+    """raw_score of one document under a model with the given idf and k."""
+    g = make_glossary("x", phrases)
+    return raw_score(Document.from_text("d", text), g, make_model(g, idf, k=k))
+
+
 class TestEffectiveLength:
+    # L = max(k, word count), as raw_score reports and divides by it.
     def test_short_doc_floors_at_k(self):
-        assert effective_length(5, 100) == 100
+        b = score_text("a w w w w", [("a",)], {0: 2.0})
+        assert b.effective_length == 100
+        assert b.tfidf_over_L == 2.0 / 100
 
     def test_long_doc_uses_word_count(self):
-        assert effective_length(500, 100) == 500
+        b = score_text("a" + " w" * 499, [("a",)], {0: 2.0})
+        assert b.effective_length == 500
+        assert b.tfidf_over_L == 2.0 / 500
 
     def test_boundary(self):
-        assert effective_length(100, 100) == 100
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            effective_length(-1, 100)
-        with pytest.raises(ValueError):
-            effective_length(10, 0)
+        assert score_text("w " * 100, [("a",)], {0: 2.0}).effective_length == 100
+        assert score_text("w " * 101, [("a",)], {0: 2.0}).effective_length == 101
 
 
 class TestContributions:
     def test_values_and_order(self):
-        tf = MatchProfile(tf={2: 3, 0: 1}, total_matches=4)
-        idf = {0: 2.0, 1: 5.0, 2: 0.5}
-        contribs = per_keyword_contributions(tf, idf, 10)
-        assert list(contribs) == [0, 2]
-        assert contribs[0] == pytest.approx(1 * 2.0 / 10)
-        assert contribs[2] == pytest.approx(3 * 0.5 / 10)
-        assert abundance(tf, idf, 10) == pytest.approx(0.2 + 0.15)
+        # Matched out of id order (c before a); reported in ascending id order.
+        b = score_text("c c a c", [("a",), ("b",), ("c",)], {0: 2.0, 1: 5.0, 2: 0.5}, k=10)
+        assert list(b.per_keyword) == [0, 2]
+        assert b.per_keyword[0] == pytest.approx(1 * 2.0 / 10)
+        assert b.per_keyword[2] == pytest.approx(3 * 0.5 / 10)
+        assert b.tfidf_over_L == pytest.approx(0.2 + 0.15)
 
     def test_missing_idf_entry(self):
-        tf = MatchProfile(tf={7: 1}, total_matches=1)
-        with pytest.raises(ValidationError, match="keyword id 7 has no idf entry"):
-            per_keyword_contributions(tf, {0: 1.0}, 10)
+        with pytest.raises(ValidationError, match="keyword id 1 has no idf entry"):
+            score_text("a b", [("a",), ("b",)], {0: 1.0})
 
 
 class TestMatchDistribution:
+    # The entropy is taken over p_w = tf_w / total_matches.
     def test_normalizes(self):
-        tf = MatchProfile(tf={0: 1, 1: 3}, total_matches=4)
-        assert match_distribution(tf) == {0: 0.25, 1: 0.75}
+        b = score_text("a b b b", [("a",), ("b",)], {0: 1.0, 1: 1.0})
+        assert b.entropy == shannon_entropy({0: 0.25, 1: 0.75})
 
     def test_empty(self):
-        assert match_distribution(MatchProfile(tf={}, total_matches=0)) == {}
+        b = score_text("nothing here", [("a",)], {0: 1.0})
+        assert b.tf.total_matches == 0
+        assert b.per_keyword == {}
+        assert b.entropy == 0.0
 
 
 class TestShannonEntropy:

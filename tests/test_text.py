@@ -79,15 +79,6 @@ class TestLoadCorpusDirectory:
         assert [d.id for d in c] == ["b.txt", "sub/a.txt"]
         assert c.documents[1].tokens == ("alpha", "doc")
 
-    def test_explicit_format(self, tmp_path):
-        base = write_corpus_dir(tmp_path, {"a.txt": "x"})
-        assert len(load_corpus(base, format="directory")) == 1
-
-    def test_file_with_directory_format_rejected(self, tmp_path):
-        f = write_lines_file(tmp_path / "c.txt", ["x"])
-        with pytest.raises(ValidationError, match="not a directory"):
-            load_corpus(f, format="directory")
-
     def test_invalid_utf8_names_document(self, tmp_path):
         base = tmp_path / "corpus"
         base.mkdir()
@@ -121,15 +112,6 @@ class TestLoadCorpusLines:
         f.write_bytes(b"fine\n\xff\xfe\n")
         with pytest.raises(ValidationError, match="document 000002: not valid UTF-8"):
             load_corpus(f)
-
-    def test_directory_with_line_format_rejected(self, tmp_path):
-        with pytest.raises(ValidationError, match="is a directory"):
-            load_corpus(tmp_path, format="line-delimited")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        f = write_lines_file(tmp_path / "c.txt", ["x"])
-        with pytest.raises(ValidationError, match="unknown corpus format"):
-            load_corpus(f, format="csv")
 
     def test_auto_detection(self, tmp_path):
         base = write_corpus_dir(tmp_path, {"a.txt": "dir doc"})
