@@ -362,20 +362,23 @@ def _parse_golden(path: Path):
     labels: tuple[str, str] = ("a", "b")
     rows: list[tuple[str, tuple[float, ...]]] = []
     expects: list[tuple[str, float, str, float]] = []
-    saw_version = False
+    seen: set[str] = set()
     for lineno, key, value in records.parse(records.read_text(path, label)):
         parts = value.split()
+        if key in ("format_version", "kind", "labels"):
+            if key in seen:
+                raise bad(f"repeated {key} on line {lineno}")
+            seen.add(key)
         if key == "format_version":
             if parts != [str(records.FORMAT_VERSION)]:
                 raise bad(f"unsupported format_version on line {lineno}")
-            saw_version = True
         elif key == "kind":
             if parts not in (["recall_pair"], ["recall_shift"]):
                 raise bad(f"unknown kind on line {lineno}: {value!r}")
             kind = parts[0]
         elif key == "labels":
-            if len(parts) != 2:
-                raise bad(f"labels needs exactly two names (line {lineno})")
+            if len(parts) != 2 or parts[0] == parts[1]:
+                raise bad(f"labels needs exactly two distinct names (line {lineno})")
             labels = (parts[0], parts[1])
         elif key == "row":
             want = 3 if kind == "recall_pair" else 5
@@ -396,7 +399,7 @@ def _parse_golden(path: Path):
             expects.append((parts[0], expected, parts[2], tol))
         else:
             raise bad(f"unknown record {key!r} on line {lineno}")
-    if not saw_version:
+    if "format_version" not in seen:
         raise bad("missing format_version record")
     if kind is None:
         raise bad("missing kind record")

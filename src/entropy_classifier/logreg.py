@@ -16,11 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from . import records
 from .calibration import threshold_for_scores
 from .errors import ValidationError
-from .model import format_float
-from .scoring import sigmoid
 from .text import Corpus, Document
 
 MIN_DF = 2
@@ -32,7 +29,6 @@ class LrModel:
 
     vocabulary: dict[str, int]
     weights: np.ndarray  # length |vocabulary| + 1
-    l2: float
     threshold_bias: float = 0.0
 
     @property
@@ -146,7 +142,6 @@ def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()
     return LrModel(
         vocabulary=vocab,
         weights=np.append(w, intercept),
-        l2=params.l2,
         threshold_bias=0.0,
     )
 
@@ -156,11 +151,6 @@ def lr_logit(model: LrModel, doc: Document) -> float:
     feats = featurize(doc, model.vocabulary)
     w = model.weights
     return float(sum(w[fid] * v for fid, v in feats.items()) + model.intercept)
-
-
-def predict_lr(model: LrModel, doc: Document) -> float:
-    """P(positive); the decision rule is y >= 0.5, i.e. logit >= threshold_bias."""
-    return sigmoid(lr_logit(model, doc) - model.threshold_bias)
 
 
 def lr_decision(model: LrModel, doc: Document) -> bool:
@@ -179,58 +169,3 @@ def lr_measure_fpr(model: LrModel, negatives: Corpus) -> float:
     if len(negatives) == 0:
         raise ValidationError("negative corpus must be non-empty")
     return sum(1 for d in negatives if lr_decision(model, d)) / len(negatives)
-
-
-def save_lr_model(model: LrModel, path) -> None:
-    """Write the LR model file; refuses, before writing, what load_lr_model
-    would reject."""
-    if any(token.split() != [token] for token in model.vocabulary):
-        raise ValidationError("LR model cannot be saved: a vocabulary token is empty "
-                              "or holds whitespace")
-    if not np.isfinite([model.l2, model.threshold_bias, *model.weights]).all():
-        raise ValidationError("LR model cannot be saved: it holds a non-finite value")
-    inverse = sorted(model.vocabulary.items(), key=lambda kv: kv[1])
-    records.write_records(path, [
-        ("format_version", str(records.FORMAT_VERSION)),
-        ("l2", format_float(model.l2)),
-        ("threshold_bias", format_float(model.threshold_bias)),
-    ] + [("feat", f"{fid} {token} {format_float(float(model.weights[fid]))}")
-         for token, fid in inverse]
-      + [("intercept", format_float(model.intercept))])
-
-
-def load_lr_model(path) -> LrModel:
-    label = f"LR model file {path}"
-
-    def bad(what: str) -> ValidationError:
-        return ValidationError(f"{label}: {what}")
-
-    recs = records.parse(records.read_text(path, label))
-    head = records.head(recs, ("format_version", "l2", "threshold_bias"), label)
-    if head["format_version"] != str(records.FORMAT_VERSION):
-        raise bad(f"unsupported header format_version {head['format_version']!r}")
-    l2 = records.to_float(label, "l2", head["l2"])
-    threshold_bias = records.to_float(label, "threshold_bias", head["threshold_bias"])
-    if recs[-1][1] != "intercept":
-        raise bad("missing intercept record")
-    intercept = records.to_float(label, "intercept", recs[-1][2])
-
-    vocab: dict[str, int] = {}
-    weights: list[float] = []
-    for _, key, value in recs[3:-1]:
-        parts = value.split(" ")
-        if key != "feat" or len(parts) != 3 or parts[1].split() != [parts[1]]:
-            raise bad(f"expected feat record, found {key} {value!r}")
-        fid = records.to_int(label, "feat id", parts[0])
-        if fid != len(weights):
-            raise bad(f"feat ids must be dense and ascending, found {fid}")
-        vocab[parts[1]] = fid
-        weights.append(records.to_float(label, "feat weight", parts[2]))
-    if len(vocab) != len(weights):
-        raise bad("duplicate feature tokens")
-    return LrModel(
-        vocabulary=vocab,
-        weights=np.array(weights + [intercept], dtype=np.float64),
-        l2=l2,
-        threshold_bias=threshold_bias,
-    )

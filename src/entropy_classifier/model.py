@@ -78,6 +78,9 @@ def save_model(model: BackgroundModel, path) -> None:
             "ablation models (entropy_weighted=False) cannot be saved: "
             "the model file format has no field for the variant"
         )
+    if any(token.split() != [token] for phrase in model.phrases for token in phrase):
+        raise ValidationError("model cannot be saved: a phrase token is empty "
+                              "or holds whitespace")
     records.write_records(path, [
         ("format_version", str(records.FORMAT_VERSION)),
         ("category", model.category),

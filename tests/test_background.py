@@ -190,6 +190,15 @@ class TestModelPersistence:
             save_model(m, tmp_path / "m.txt")
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("phrase", [("tax", ""), ("tax return",), ("tax\treturn",)])
+    def test_phrase_token_with_whitespace_rejected_before_writing(self, tmp_path, phrase,
+                                                                  small_background):
+        # load_model would reject the empty token and split the others in two
+        m = train(make_glossary("fin", FINANCE_PHRASES + [phrase]), small_background)
+        with pytest.raises(ValidationError, match="empty or holds whitespace"):
+            save_model(m, tmp_path / "m.txt")
+        assert not (tmp_path / "m.txt").exists()
+
     def test_category_edge_spaces_round_trip(self, tmp_path, finance_glossary,
                                              small_background):
         m = replace(train(finance_glossary, small_background), category="  fin ")

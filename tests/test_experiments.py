@@ -240,6 +240,12 @@ class TestVerifyTable:
         (["format_version 1", "kind recall_pair", "row a 0.1 0.2",
           "expect mean_a 0.1 nearly 0.1"], "malformed expect"),
         (["format_version 1", "kind recall_pair", "  row a 0.1 0.2"], "unknown record ''"),
+        (["format_version 1", "kind recall_pair", "row a 0.1 0.2",
+          "kind recall_shift", "row b 0.1 0.2 0.3 0.4"], "repeated kind on line 4"),
+        (["format_version 1", "kind recall_shift", "labels lr lr",
+          "row a 0.1 0.2 0.3 0.4", "row b 0.2 0.3 0.4 0.5"], "two distinct names"),
+        (["format_version 1", "kind recall_shift", "labels lr kb", "row a 0.1 0.2 0.3 0.4",
+          "labels x y"], "repeated labels on line 5"),
     ])
     def test_malformed_tables_rejected(self, tmp_path, lines, message):
         p = write_lines_file(tmp_path / "t.txt", lines)

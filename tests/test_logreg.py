@@ -4,35 +4,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import sparse
 
 from entropy_classifier.errors import ValidationError
 from entropy_classifier.logreg import (
-    LrModel,
     LrParams,
     _design_matrix,
     build_vocabulary,
     calibrate_lr_threshold,
     featurize,
-    load_lr_model,
     logistic_gradient,
     logistic_loss,
     lr_decision,
     lr_logit,
     lr_measure_fpr,
-    predict_lr,
-    save_lr_model,
     train_lr,
 )
 from entropy_classifier.text import Document, corpus_from_texts
 
-from conftest import loads_or_refuses, mutations
 from oracles import numeric_gradient
-
-# A small valid LR model file, the base of the corruption tests.
-LR_FILE = "format_version 1\nl2 0\nthreshold_bias 0\nfeat 0 aa 0.5\nintercept 0\n"
 
 
 def toy_problem(rng, n_samples=12, n_features=5):
@@ -183,13 +173,6 @@ class TestTrainLr:
 
 
 class TestDecision:
-    def test_probability_matches_logit(self):
-        pos, neg = make_training_corpora()
-        model = train_lr(pos, neg)
-        doc = pos.documents[0]
-        z = lr_logit(model, doc) - model.threshold_bias
-        assert predict_lr(model, doc) == pytest.approx(1 / (1 + math.exp(-z)), rel=1e-12)
-
     def test_decision_boundary_inclusive(self):
         pos, neg = make_training_corpora()
         model = train_lr(pos, neg)
@@ -202,115 +185,3 @@ class TestDecision:
         model = train_lr(pos, neg)
         tuned = calibrate_lr_threshold(model, neg, 0.25)
         assert lr_measure_fpr(tuned, neg) <= 0.25
-
-
-class TestLrPersistence:
-    def test_roundtrip_bitwise(self, tmp_path):
-        pos, neg = make_training_corpora()
-        model = calibrate_lr_threshold(train_lr(pos, neg), neg, 0.25)
-        path = tmp_path / "lr.txt"
-        save_lr_model(model, path)
-        loaded = load_lr_model(path)
-        assert loaded.vocabulary == model.vocabulary
-        assert np.array_equal(loaded.weights, model.weights)
-        assert loaded.l2 == model.l2
-        assert loaded.threshold_bias == model.threshold_bias
-        # logits reproduce exactly
-        for doc in list(pos) + list(neg):
-            assert lr_logit(loaded, doc) == lr_logit(model, doc)
-
-    def test_load_rejects_sparse_feature_ids(self, tmp_path):
-        p = tmp_path / "lr.txt"
-        p.write_text(
-            "format_version 1\nl2 0\nthreshold_bias 0\n"
-            "feat 0 aa 0.5\nfeat 2 bb 0.25\nintercept 0\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(ValidationError, match="dense and ascending"):
-            load_lr_model(p)
-
-    def test_load_rejects_missing_intercept(self, tmp_path):
-        p = tmp_path / "lr.txt"
-        p.write_text(
-            "format_version 1\nl2 0\nthreshold_bias 0\nfeat 0 aa 0.5\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(ValidationError, match="missing intercept"):
-            load_lr_model(p)
-
-    def test_load_rejects_bad_version(self, tmp_path):
-        p = tmp_path / "lr.txt"
-        p.write_text("format_version 2\nl2 0\nthreshold_bias 0\nintercept 0\n",
-                     encoding="utf-8")
-        with pytest.raises(ValidationError, match="unsupported header"):
-            load_lr_model(p)
-
-    @pytest.mark.parametrize("old,new", [
-        ("l2 0", "l2 nan"),
-        ("threshold_bias 0", "threshold_bias inf"),
-        ("feat 0 aa 0.5", "feat 0 aa nan"),
-        ("intercept 0", "intercept -inf"),
-    ])
-    def test_load_rejects_non_finite(self, tmp_path, old, new):
-        p = tmp_path / "lr.txt"
-        p.write_text(LR_FILE.replace(old, new), encoding="utf-8")
-        with pytest.raises(ValidationError, match="must be finite"):
-            load_lr_model(p)
-
-    @pytest.mark.parametrize("token", ["", "a\tb", "a\u2028b"])
-    def test_load_rejects_token_that_save_refuses(self, tmp_path, token):
-        p = tmp_path / "lr.txt"
-        p.write_text(LR_FILE.replace("feat 0 aa", f"feat 0 {token}"), encoding="utf-8")
-        with pytest.raises(ValidationError, match="expected feat record"):
-            load_lr_model(p)
-
-    @pytest.mark.parametrize("token,weight,l2,threshold", [
-        ("a b", 0.5, 0.0, 0.0),
-        ("", 0.5, 0.0, 0.0),
-        ("a\tb", 0.5, 0.0, 0.0),
-        ("aa", math.nan, 0.0, 0.0),
-        ("aa", 0.5, math.inf, 0.0),
-        ("aa", 0.5, 0.0, -math.inf),
-    ])
-    def test_save_refuses_what_load_rejects(self, tmp_path, token, weight, l2, threshold):
-        model = LrModel(vocabulary={token: 0}, weights=np.array([weight, 0.0]),
-                        l2=l2, threshold_bias=threshold)
-        with pytest.raises(ValidationError, match="cannot be saved"):
-            save_lr_model(model, tmp_path / "lr.txt")
-        assert not (tmp_path / "lr.txt").exists()
-
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# Any text without whitespace that UTF-8 can encode.
-_TOKENS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
-                  min_size=1, max_size=8)
-
-
-class TestLrFileProperties:
-    @given(tokens=st.lists(_TOKENS, unique=True, max_size=8), l2=_FINITE,
-           threshold=_FINITE, data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_load_of_save_is_identity(self, fuzz_file, tokens, l2, threshold, data):
-        weights = data.draw(st.lists(_FINITE, min_size=len(tokens) + 1,
-                                     max_size=len(tokens) + 1))
-        model = LrModel(vocabulary={t: i for i, t in enumerate(tokens)},
-                        weights=np.array(weights, dtype=np.float64),
-                        l2=l2, threshold_bias=threshold)
-        save_lr_model(model, fuzz_file)
-        loaded = load_lr_model(fuzz_file)
-        assert loaded.vocabulary == model.vocabulary
-        assert loaded.weights.tobytes() == model.weights.tobytes()
-        assert loaded.l2.hex() == l2.hex()
-        assert loaded.threshold_bias.hex() == threshold.hex()
-
-    @given(st.binary(max_size=200))
-    @settings(max_examples=150, deadline=None)
-    def test_arbitrary_bytes_load_or_refuse(self, fuzz_file, data):
-        fuzz_file.write_bytes(data)
-        loads_or_refuses(load_lr_model, fuzz_file)
-
-    @given(mutations(LR_FILE.encode("utf-8")))
-    @settings(max_examples=300, deadline=None)
-    def test_mutated_files_load_or_refuse(self, fuzz_file, mutated):
-        fuzz_file.write_bytes(mutated)
-        loads_or_refuses(load_lr_model, fuzz_file)
