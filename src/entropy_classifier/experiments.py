@@ -9,10 +9,18 @@ Experiment 2 contrasts robustness under distribution shift: a logistic
 regression trained on half of each category's A corpus (background corpus as
 the negative class) against the knowledge-based model, both calibrated to the
 same FPR target, evaluated on A's held-out half and on the disjoint B corpus.
-The comparison metric is the fractional change of recall from A to B.
+The comparison metric is the fractional change of recall from A to B. Each
+row's FPR on the negatives is the one calibration achieved (calibrate_fpr for
+the knowledge-based model, calibrate_lr_threshold's count over the logits it
+thresholded for LR), so no classifier scores the negatives twice.
 
 verify_tables recomputes aggregates from bundled golden recall tables and
 checks them against the expectations recorded in the files themselves.
+
+Both experiments and verify_table summarize through _summarize: the mean of
+each group, then a one-way ANOVA when every group holds at least 2 values. A
+fractional change with a zero baseline is warned about and left out of the
+averages (_add_fractional_change), in exp2 and in recall_shift tables alike.
 """
 
 from __future__ import annotations
@@ -24,20 +32,17 @@ from pathlib import Path
 
 from . import records
 from .background import train
-from .calibration import calibrate_fpr, measure_fpr
+from .calibration import calibrate_fpr
 from .errors import ValidationError
 from .glossary import Glossary
-from .logreg import (
-    LrParams,
-    calibrate_lr_threshold,
-    lr_decision,
-    lr_measure_fpr,
-    train_lr,
-)
-from .model import format_float, set_bias_direct
+from .logreg import LrParams, calibrate_lr_threshold, lr_decision, train_lr
+from .model import BackgroundModel, format_float, set_bias_direct
 from .scoring import score_corpus
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches
-# score_document under this module's name, so the name must stay bound.
+# score_document, measure_fpr and lr_measure_fpr under this module's name, so
+# the names must stay bound.
+from .calibration import measure_fpr  # noqa: F401
+from .logreg import lr_measure_fpr  # noqa: F401
 from .scoring import score_document  # noqa: F401
 from .stats import AnovaResult, fractional_change, one_way_anova, recall
 from .text import Corpus
@@ -105,70 +110,77 @@ def _validate_config(config: ExperimentConfig, need_b: bool) -> None:
             raise ValidationError(f"category {spec.name}: experiment 2 needs a B corpus")
 
 
-def _maybe_fractional_change(recall_a: float, recall_b: float,
-                             label: str, warnings: list[str]) -> float | None:
+def _calibrated_kb(spec: CategorySpec, config: ExperimentConfig,
+                   entropy_weighted: bool = True) -> tuple[BackgroundModel, float]:
+    """Train on the background, calibrate on the negatives and set the bias:
+    (model, achieved FPR on the negatives)."""
+    model = train(spec.glossary, config.background, config.k, entropy_weighted=entropy_weighted)
+    cal = calibrate_fpr(model, spec.glossary, config.negatives, config.target_fpr)
+    return set_bias_direct(model, cal.bias), cal.achieved_fpr
+
+
+def _kb_recall(model: BackgroundModel, glossary: Glossary, positives: Corpus) -> float:
+    return recall(lambda b: b.positive, score_corpus(positives, glossary, model))
+
+
+def _add_fractional_change(changes: list[float], recall_a: float, recall_b: float,
+                           label: str, warnings: list[str]) -> float | None:
+    """Append the fractional change to changes and return it; at a zero
+    recall_a it is undefined, so warn and leave it out of the averages."""
     if recall_a == 0:
         warnings.append(
             f"{label}: recall_a is zero, fractional change undefined; excluded from averages"
         )
         return None
-    return fractional_change(recall_a, recall_b)
+    change = fractional_change(recall_a, recall_b)
+    changes.append(change)
+    return change
+
+
+def _summarize(groups: dict[str, list[float]], too_few: str,
+               warnings: list[str]) -> tuple[dict[str, float], AnovaResult | None]:
+    """The mean of each non-empty group under its key, and a one-way ANOVA
+    across the groups when each holds at least 2 values (else warn too_few)."""
+    means = {key: math.fsum(values) / len(values) for key, values in groups.items() if values}
+    if any(len(values) < 2 for values in groups.values()):
+        warnings.append(too_few)
+        return means, None
+    try:
+        return means, one_way_anova(groups.values())
+    except ValidationError as exc:
+        warnings.append(f"ANOVA omitted: {exc}")
+        return means, None
+
+
+def _report(experiment: str, config: ExperimentConfig, rows: dict[str, CategoryEval],
+            groups: dict[str, list[float]], too_few: str, warnings: list[str]) -> EvalReport:
+    aggregate, anova = _summarize(groups, too_few, warnings)
+    return EvalReport(experiment=experiment, k=config.k, target_fpr=config.target_fpr,
+                      per_category=rows, aggregate=aggregate, anova=anova,
+                      warnings=tuple(warnings))
 
 
 def run_experiment1(config: ExperimentConfig) -> EvalReport:
     """Entropy ablation at matched FPR; recall_a = ablation, recall_b = entropy."""
     _validate_config(config, need_b=False)
-    warnings: list[str] = []
     rows: dict[str, CategoryEval] = {}
-    recalls_plain: list[float] = []
-    recalls_entropy: list[float] = []
     for spec in config.categories:
-        plain = train(spec.glossary, config.background, config.k, entropy_weighted=False)
-        entropy = train(spec.glossary, config.background, config.k, entropy_weighted=True)
-        cal_plain = calibrate_fpr(plain, spec.glossary, config.negatives, config.target_fpr)
-        cal_entropy = calibrate_fpr(entropy, spec.glossary, config.negatives, config.target_fpr)
-        plain = set_bias_direct(plain, cal_plain.bias)
-        entropy = set_bias_direct(entropy, cal_entropy.bias)
-        r_plain = recall(lambda b: b.positive,
-                         score_corpus(spec.positives, spec.glossary, plain))
-        r_entropy = recall(lambda b: b.positive,
-                           score_corpus(spec.positives, spec.glossary, entropy))
+        plain, fpr_plain = _calibrated_kb(spec, config, entropy_weighted=False)
+        entropy, fpr_entropy = _calibrated_kb(spec, config)
+        r_plain, r_entropy = (_kb_recall(m, spec.glossary, spec.positives)
+                              for m in (plain, entropy))
         rows[spec.name] = CategoryEval(
-            recall_a=r_plain,
-            recall_b=r_entropy,
-            fpr_a=cal_plain.achieved_fpr,
-            fpr_b=cal_entropy.achieved_fpr,
-            n_pos_a=len(spec.positives),
-            n_pos_b=len(spec.positives),
+            recall_a=r_plain, recall_b=r_entropy, fpr_a=fpr_plain, fpr_b=fpr_entropy,
+            n_pos_a=len(spec.positives), n_pos_b=len(spec.positives),
             n_neg=len(config.negatives),
+            # Never averaged, so a zero baseline is a silent na.
             fractional_change=(
                 fractional_change(r_plain, r_entropy) if r_plain > 0 else None
             ),
         )
-        recalls_plain.append(r_plain)
-        recalls_entropy.append(r_entropy)
-
-    aggregate = {
-        "mean_recall_a": math.fsum(recalls_plain) / len(recalls_plain),
-        "mean_recall_b": math.fsum(recalls_entropy) / len(recalls_entropy),
-    }
-    anova = None
-    if len(config.categories) < 2:
-        warnings.append("single category: ANOVA omitted")
-    else:
-        try:
-            anova = one_way_anova([recalls_plain, recalls_entropy])
-        except ValidationError as exc:
-            warnings.append(f"ANOVA omitted: {exc}")
-    return EvalReport(
-        experiment="exp1",
-        k=config.k,
-        target_fpr=config.target_fpr,
-        per_category=rows,
-        aggregate=aggregate,
-        anova=anova,
-        warnings=tuple(warnings),
-    )
+    groups = {"mean_recall_a": [row.recall_a for row in rows.values()],
+              "mean_recall_b": [row.recall_b for row in rows.values()]}
+    return _report("exp1", config, rows, groups, "single category: ANOVA omitted", [])
 
 
 def split_alternating(corpus: Corpus) -> tuple[Corpus, Corpus]:
@@ -190,65 +202,26 @@ def run_experiment2(config: ExperimentConfig) -> EvalReport:
     _validate_config(config, need_b=True)
     warnings: list[str] = []
     rows: dict[str, CategoryEval] = {}
-    fc_lr: list[float] = []
-    fc_kb: list[float] = []
+    changes: dict[str, list[float]] = {"lr": [], "kb": []}
     for spec in config.categories:
         a_train, a_eval = split_alternating(spec.positives)
         corpus_b = spec.positives_b
-
-        kb = train(spec.glossary, config.background, config.k)
-        kb = set_bias_direct(
-            kb, calibrate_fpr(kb, spec.glossary, config.negatives, config.target_fpr).bias
-        )
-        lr = train_lr(a_train, config.background, config.lr)
-        lr = calibrate_lr_threshold(lr, config.negatives, config.target_fpr)
-
+        kb, kb_fpr = _calibrated_kb(spec, config)
+        lr, lr_fpr = calibrate_lr_threshold(train_lr(a_train, config.background, config.lr),
+                                            config.negatives, config.target_fpr)
         lr_ra, lr_rb = (recall(lambda d: lr_decision(lr, d), c) for c in (a_eval, corpus_b))
-        kb_ra, kb_rb = (recall(lambda b: b.positive, score_corpus(c, spec.glossary, kb))
-                        for c in (a_eval, corpus_b))
-
-        lr_fc = _maybe_fractional_change(lr_ra, lr_rb, f"{spec.name}/lr", warnings)
-        kb_fc = _maybe_fractional_change(kb_ra, kb_rb, f"{spec.name}/kb", warnings)
-        if lr_fc is not None:
-            fc_lr.append(lr_fc)
-        if kb_fc is not None:
-            fc_kb.append(kb_fc)
-
-        rows[f"{spec.name}/lr"] = CategoryEval(
-            recall_a=lr_ra, recall_b=lr_rb,
-            fpr_a=lr_measure_fpr(lr, config.negatives), fpr_b=None,
-            n_pos_a=len(a_eval), n_pos_b=len(corpus_b), n_neg=len(config.negatives),
-            fractional_change=lr_fc,
-        )
-        rows[f"{spec.name}/kb"] = CategoryEval(
-            recall_a=kb_ra, recall_b=kb_rb,
-            fpr_a=measure_fpr(kb, spec.glossary, config.negatives), fpr_b=None,
-            n_pos_a=len(a_eval), n_pos_b=len(corpus_b), n_neg=len(config.negatives),
-            fractional_change=kb_fc,
-        )
-
-    aggregate: dict[str, float] = {}
-    if fc_lr:
-        aggregate["mean_fractional_change_lr"] = math.fsum(fc_lr) / len(fc_lr)
-    if fc_kb:
-        aggregate["mean_fractional_change_kb"] = math.fsum(fc_kb) / len(fc_kb)
-    anova = None
-    if len(fc_lr) >= 2 and len(fc_kb) >= 2:
-        try:
-            anova = one_way_anova([fc_lr, fc_kb])
-        except ValidationError as exc:
-            warnings.append(f"ANOVA omitted: {exc}")
-    else:
-        warnings.append("fewer than 2 fractional changes per classifier: ANOVA omitted")
-    return EvalReport(
-        experiment="exp2",
-        k=config.k,
-        target_fpr=config.target_fpr,
-        per_category=rows,
-        aggregate=aggregate,
-        anova=anova,
-        warnings=tuple(warnings),
-    )
+        kb_ra, kb_rb = (_kb_recall(kb, spec.glossary, c) for c in (a_eval, corpus_b))
+        for label, ra, rb, fpr in (("lr", lr_ra, lr_rb, lr_fpr), ("kb", kb_ra, kb_rb, kb_fpr)):
+            name = f"{spec.name}/{label}"
+            rows[name] = CategoryEval(
+                recall_a=ra, recall_b=rb, fpr_a=fpr, fpr_b=None,
+                n_pos_a=len(a_eval), n_pos_b=len(corpus_b), n_neg=len(config.negatives),
+                fractional_change=_add_fractional_change(changes[label], ra, rb, name,
+                                                         warnings),
+            )
+    groups = {f"mean_fractional_change_{label}": values for label, values in changes.items()}
+    return _report("exp2", config, rows, groups,
+                   "fewer than 2 fractional changes per classifier: ANOVA omitted", warnings)
 
 
 def _fmt_opt(value, digits: int | None = None) -> str:
@@ -413,39 +386,19 @@ def verify_table(path) -> TableReport:
     p = Path(path)
     kind, labels, rows, expects = _parse_golden(p)
     warnings: list[str] = []
-    computed: dict[str, float] = {}
-
     if kind == "recall_pair":
-        col_a = [v[0] for _, v in rows]
-        col_b = [v[1] for _, v in rows]
-        computed["mean_a"] = math.fsum(col_a) / len(col_a)
-        computed["mean_b"] = math.fsum(col_b) / len(col_b)
-        groups = [col_a, col_b]
+        groups = {"mean_a": [v[0] for _, v in rows], "mean_b": [v[1] for _, v in rows]}
     else:
-        fc_by_label: dict[str, list[float]] = {labels[0]: [], labels[1]: []}
+        groups = {f"mean_change_{label}": [] for label in labels}
         for name, v in rows:
-            for label, (ra, rb) in zip(labels, ((v[0], v[1]), (v[2], v[3]))):
-                if ra == 0:
-                    warnings.append(
-                        f"{name}/{label}: recall_a is zero, fractional change skipped"
-                    )
-                else:
-                    fc_by_label[label].append(fractional_change(ra, rb))
-        for label in labels:
-            values = fc_by_label[label]
-            if values:
-                computed[f"mean_change_{label}"] = math.fsum(values) / len(values)
-        groups = [fc_by_label[labels[0]], fc_by_label[labels[1]]]
-
-    if all(len(g) >= 2 for g in groups):
-        try:
-            anova = one_way_anova(groups)
-            computed["anova_f"] = anova.f_stat
-            computed["anova_p"] = anova.p_value
-        except ValidationError as exc:
-            warnings.append(f"ANOVA skipped: {exc}")
-    else:
-        warnings.append("fewer than 2 values per group: ANOVA skipped")
+            for label, ra, rb in ((labels[0], v[0], v[1]), (labels[1], v[2], v[3])):
+                _add_fractional_change(groups[f"mean_change_{label}"], ra, rb,
+                                       f"{name}/{label}", warnings)
+    computed, anova = _summarize(groups, "fewer than 2 values per group: ANOVA omitted",
+                                 warnings)
+    if anova is not None:
+        computed["anova_f"] = anova.f_stat
+        computed["anova_p"] = anova.p_value
 
     checks = []
     for key, expected, tol_kind, tol in expects:

@@ -157,12 +157,13 @@ def lr_decision(model: LrModel, doc: Document) -> bool:
     return lr_logit(model, doc) >= model.threshold_bias
 
 
-def calibrate_lr_threshold(model: LrModel, negatives: Corpus, target_fpr: float) -> LrModel:
+def calibrate_lr_threshold(model: LrModel, negatives: Corpus,
+                           target_fpr: float) -> tuple[LrModel, float]:
     """Threshold the logits with the same tight FPR rule the knowledge-based
-    bias uses."""
+    bias uses: (thresholded model, achieved FPR on the negatives)."""
     logits = [lr_logit(model, doc) for doc in negatives]
-    bias, _achieved = threshold_for_scores(logits, target_fpr)
-    return replace(model, threshold_bias=bias)
+    bias, achieved = threshold_for_scores(logits, target_fpr)
+    return replace(model, threshold_bias=bias), achieved
 
 
 def lr_measure_fpr(model: LrModel, negatives: Corpus) -> float:

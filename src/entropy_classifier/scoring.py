@@ -18,8 +18,9 @@ alone; the breakdown still records the true entropy for inspection.
 This module is the only place a document is scored. The private kernel
 _score_profile is the only code that computes the raw score: it reads one
 match profile once, in ascending keyword id order, and returns L, the
-per-keyword contributions, tfidf_over_L, the entropy (through shannon_entropy,
-the one entropy formula) and the raw score; raw_score and
+per-keyword contributions, tfidf_over_L, the entropy (through _entropy, the
+one entropy formula, which the checked public shannon_entropy also calls) and
+the raw score; raw_score and
 background.fit_standardization call it. score_corpus is the bulk path: it
 checks the glossary and sigma once before the first document and yields
 score_document (raw_score, then predict) for each document, so every corpus
@@ -45,6 +46,12 @@ from .model import BackgroundModel
 from .text import Corpus, Document
 
 
+def _entropy(p) -> float:
+    """The entropy formula, -sum p ln p in nats over a sequence of
+    probabilities (0 ln 0 := 0), unchecked. A single p = 1 gives -0.0."""
+    return -sum(v * math.log(v) for v in p if v > 0.0) if p else 0.0
+
+
 def shannon_entropy(p: dict[int, float]) -> float:
     """-sum p ln p in nats over a probability map (0 ln 0 := 0)."""
     if not p:
@@ -56,7 +63,7 @@ def shannon_entropy(p: dict[int, float]) -> float:
         total += v
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
-    return -sum(v * math.log(v) for v in p.values() if v > 0.0)
+    return _entropy(p.values())
 
 
 def sigmoid(z: float) -> float:
@@ -118,7 +125,8 @@ def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: 
         ) from None
     tfidf_over_L = sum(contributions.values())
     total = tf.total_matches
-    entropy = shannon_entropy({kid: n / total for kid, n in tf.tf.items()})
+    # Probabilities built from positive counts need none of shannon_entropy's checks.
+    entropy = _entropy([n / total for n in tf.tf.values()])
     s = entropy * tfidf_over_L if entropy_weighted else tfidf_over_L
     return L, contributions, tfidf_over_L, entropy, s
 

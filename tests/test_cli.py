@@ -281,13 +281,6 @@ class TestConfigFile:
         loads_or_refuses(lambda p: _resolve(argparse.Namespace(config=str(p))), fuzz_file)
 
 
-class TestThreadsEnvVar:
-    def test_valid_values_accepted(self, workspace, monkeypatch):
-        for value in ("0", "1", "4"):
-            monkeypatch.setenv("ENTROPY_CLASSIFIER_THREADS", value)
-            assert run_train(workspace) == 0
-
-
 class TestExperimentCommands:
     def build_exp_workspace(self, tmp_path):
         (tmp_path / "g0.txt").write_text("alpha beta\ngamma\ndelta\n", encoding="utf-8")

@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropy_classifier import calibration, experiments, logreg
+from entropy_classifier.background import train
+from entropy_classifier.calibration import calibrate_fpr, measure_fpr
 from entropy_classifier.errors import ValidationError
 from entropy_classifier.experiments import (
     CategorySpec,
@@ -16,6 +19,8 @@ from entropy_classifier.experiments import (
     verify_table,
 )
 from entropy_classifier.glossary import make_glossary
+from entropy_classifier.logreg import calibrate_lr_threshold, lr_measure_fpr, train_lr
+from entropy_classifier.model import set_bias_direct
 from entropy_classifier.synthetic import SuiteParams, build_suite
 from entropy_classifier.text import corpus_from_texts
 
@@ -133,6 +138,28 @@ class TestExperiment2:
                 short = name
                 assert any(short in w for w in report.warnings)
 
+    def test_fpr_is_the_calibrated_fpr(self):
+        cfg = tiny_config()
+        report = run_experiment2(cfg)
+        for spec in cfg.categories:
+            kb = train(spec.glossary, cfg.background, cfg.k)
+            cal = calibrate_fpr(kb, spec.glossary, cfg.negatives, cfg.target_fpr)
+            kb = set_bias_direct(kb, cal.bias)
+            assert (report.per_category[f"{spec.name}/kb"].fpr_a
+                    == measure_fpr(kb, spec.glossary, cfg.negatives))
+            lr = train_lr(split_alternating(spec.positives)[0], cfg.background, cfg.lr)
+            lr, _ = calibrate_lr_threshold(lr, cfg.negatives, cfg.target_fpr)
+            assert report.per_category[f"{spec.name}/lr"].fpr_a == lr_measure_fpr(lr, cfg.negatives)
+
+    def test_measures_no_fpr_after_calibration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exp2 re-measured an FPR that calibration counted")
+        for name in ("measure_fpr", "lr_measure_fpr"):
+            monkeypatch.setattr(experiments, name, refuse)
+        monkeypatch.setattr(calibration, "measure_fpr", refuse)
+        monkeypatch.setattr(logreg, "lr_measure_fpr", refuse)
+        run_experiment2(tiny_config())
+
     def test_kb_rows_use_full_a_corpus_heldout_half(self):
         cfg = tiny_config()
         report = run_experiment2(cfg)
@@ -188,7 +215,7 @@ class TestVerifyTable:
         assert report.computed["mean_a"] == 0.25
         # one row cannot feed an ANOVA
         assert "anova_p" not in report.computed
-        assert any("ANOVA skipped" in w for w in report.warnings)
+        assert any("ANOVA omitted" in w for w in report.warnings)
 
     def test_failing_expectation_flags(self, tmp_path):
         p = write_lines_file(tmp_path / "t.txt", [

@@ -177,11 +177,12 @@ class TestDecision:
         pos, neg = make_training_corpora()
         model = train_lr(pos, neg)
         doc = pos.documents[0]
-        tuned = calibrate_lr_threshold(model, neg, 0.2)
+        tuned, _ = calibrate_lr_threshold(model, neg, 0.2)
         assert lr_decision(tuned, doc) is (lr_logit(tuned, doc) >= tuned.threshold_bias)
 
     def test_threshold_calibration_bounds_fpr(self):
         pos, neg = make_training_corpora()
         model = train_lr(pos, neg)
-        tuned = calibrate_lr_threshold(model, neg, 0.25)
-        assert lr_measure_fpr(tuned, neg) <= 0.25
+        tuned, achieved = calibrate_lr_threshold(model, neg, 0.25)
+        assert lr_measure_fpr(tuned, neg) == achieved
+        assert achieved <= 0.25

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from entropy_classifier.background import train
 from entropy_classifier.errors import ValidationError
-from entropy_classifier.glossary import Glossary, make_glossary
+from entropy_classifier.glossary import Glossary, MatchProfile, make_glossary
 from entropy_classifier.model import BackgroundModel
 from entropy_classifier.scoring import (
+    _score_profile,
     predict,
     raw_score,
     score_corpus,
@@ -93,6 +94,16 @@ class TestMatchDistribution:
         assert b.tf.total_matches == 0
         assert b.per_keyword == {}
         assert b.entropy == 0.0
+
+    @given(st.lists(st.integers(min_value=1, max_value=50), max_size=12))
+    @settings(max_examples=200)
+    def test_kernel_entropy_bit_identical_to_checked_wrapper(self, counts):
+        # repr tells -0.0 (one species) from 0.0 (no match), and shows every bit.
+        tf = MatchProfile(tf=dict(enumerate(counts)), total_matches=sum(counts))
+        idf = dict.fromkeys(range(len(counts)), 1.0)
+        entropy = _score_profile(tf, 100, idf, 50, True)[3]
+        p = {kid: n / tf.total_matches for kid, n in tf.tf.items()}
+        assert repr(entropy) == repr(shannon_entropy(p))
 
 
 class TestShannonEntropy:
