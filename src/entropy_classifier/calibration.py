@@ -10,21 +10,12 @@ regression logits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
 from .glossary import Glossary
 from .model import BackgroundModel
 from .scoring import score_corpus, standardized_scores
 from .text import Corpus
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    bias: float
-    achieved_fpr: float
-    target_fpr: float
-    n_negatives: int
 
 
 def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
@@ -55,16 +46,9 @@ def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
 
 
 def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus,
-                  target_fpr: float) -> CalibrationResult:
-    """Calibrate the model bias so the FPR on the negatives is <= target."""
-    s_hat = standardized_scores(negatives, glossary, model)
-    bias, achieved = threshold_for_scores(s_hat, target_fpr)
-    return CalibrationResult(
-        bias=bias,
-        achieved_fpr=achieved,
-        target_fpr=target_fpr,
-        n_negatives=len(negatives),
-    )
+                  target_fpr: float) -> tuple[float, float]:
+    """(bias, achieved_fpr) that hold the FPR on the negatives <= target."""
+    return threshold_for_scores(standardized_scores(negatives, glossary, model), target_fpr)
 
 
 def measure_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus) -> float:

@@ -5,9 +5,6 @@ Results go to --output (default stdout) as line-oriented records with floats
 at 17 significant digits; an --output file is replaced atomically, so a failed
 run leaves the old one. Diagnostics and human-readable tables go to stderr.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
-
-An optional --config file (line records, as model files: see records.py) can
-supply defaults for scalar options; explicit flags always win.
 """
 
 from __future__ import annotations
@@ -40,16 +37,6 @@ from .scoring import score_document  # noqa: F401
 from .stats import recall
 from .text import load_corpus
 
-# Options a --config file may set, with their defaults; the type of each
-# default converts the config file's text.
-_CONFIG_DEFAULTS = {
-    "k": 100,
-    "target_fpr": 0.0005,
-    "l2": 1e-4,
-    "epochs": 500,
-    "learning_rate": 0.5,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route through the package's
@@ -62,29 +49,33 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="entropy-classifier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        p.add_argument("--config", help="key-value file supplying option defaults")
-        if output:
-            p.add_argument("--output", "-o", default=None,
-                           help="write results here instead of stdout")
+    def output(p):
+        p.add_argument("--output", "-o", default=None,
+                       help="write results here instead of stdout")
+
+    def k(p):
+        p.add_argument("--k", type=int, default=ExperimentConfig.k,
+                       help=f"length regularizer (default {ExperimentConfig.k})")
+
+    def target_fpr(p):
+        p.add_argument("--target-fpr", type=float, default=ExperimentConfig.target_fpr)
 
     p = sub.add_parser("train", help="fit a background model for one glossary")
     p.add_argument("--glossary", required=True)
     p.add_argument("--background", required=True, help="background corpus path")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--k", type=int, default=None, help="length regularizer (default 100)")
+    k(p)
     p.add_argument("--category", default=None,
                    help="category name (default: glossary file stem)")
-    common(p, output=False)
 
     p = sub.add_parser("calibrate", help="set the model bias (FPR target or direct)")
     p.add_argument("--model", required=True)
     p.add_argument("--glossary", default=None)
     p.add_argument("--negatives", default=None, help="negative corpus path")
-    p.add_argument("--target-fpr", type=float, default=None, dest="target_fpr")
+    target_fpr(p)
     p.add_argument("--bias", type=float, default=None,
                    help="set the bias directly instead of calibrating")
-    common(p)
+    output(p)
 
     p = sub.add_parser("score", help="score every document in a corpus")
     p.add_argument("--model", required=True)
@@ -92,23 +83,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="corpus to score")
     p.add_argument("--explain", action="store_true",
                    help="append per-keyword contributions to each record")
-    common(p)
+    output(p)
 
     p = sub.add_parser("evaluate", help="measure recall (and FPR) of a model")
     p.add_argument("--model", required=True)
     p.add_argument("--glossary", required=True)
     p.add_argument("--positives", required=True)
     p.add_argument("--negatives", default=None)
-    common(p)
+    output(p)
 
     p = sub.add_parser("exp1", help="entropy ablation across categories")
     p.add_argument("--background", required=True)
     p.add_argument("--negatives", required=True)
     p.add_argument("--category", required=True, action="append", nargs=3,
                    metavar=("NAME", "GLOSSARY", "POSITIVES"), dest="categories")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--target-fpr", type=float, default=None, dest="target_fpr")
-    common(p)
+    k(p)
+    target_fpr(p)
+    output(p)
 
     p = sub.add_parser("exp2", help="LR baseline vs keyword model under shift")
     p.add_argument("--background", required=True)
@@ -116,52 +107,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--category", required=True, action="append", nargs=4,
                    metavar=("NAME", "GLOSSARY", "POSITIVES_A", "POSITIVES_B"),
                    dest="categories")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--target-fpr", type=float, default=None, dest="target_fpr")
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    common(p)
+    k(p)
+    target_fpr(p)
+    p.add_argument("--l2", type=float, default=LrParams.l2)
+    p.add_argument("--epochs", type=int, default=LrParams.epochs)
+    p.add_argument("--learning-rate", type=float, default=LrParams.learning_rate)
+    output(p)
 
     p = sub.add_parser("verify-tables", help="recheck bundled golden recall tables")
     p.add_argument("--golden-tables", action="append", default=None, dest="tables",
                    help="table file (repeatable; default: the bundled tables)")
-    p.add_argument("--output", "-o", default=None)
+    output(p)
 
     return parser
-
-
-def _load_config_defaults(path: str) -> dict[str, str]:
-    label = f"config file {path}"
-    out: dict[str, str] = {}
-    for lineno, key, value in records.parse(records.read_text(path, label)):
-        if key not in _CONFIG_DEFAULTS or value.strip() == "":
-            raise ValidationError(
-                f"{label}: line {lineno}: unknown or malformed record {key!r}"
-            )
-        out[key] = value.strip()
-    return out
-
-
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill options left unset on the command line, first from --config, then
-    from the defaults."""
-    config = _load_config_defaults(args.config) if getattr(args, "config", None) else {}
-    for name, default in _CONFIG_DEFAULTS.items():
-        if getattr(args, name, None) is not None:
-            continue
-        value = default
-        if name in config:
-            conv = type(default)
-            try:
-                value = conv(config[name])
-            except ValueError:
-                raise ValidationError(
-                    f"config value for {name} is not a valid {conv.__name__}: "
-                    f"{config[name]!r}"
-                ) from None
-        setattr(args, name, value)
-    return args
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -198,13 +156,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise ValidationError("calibrate --negatives needs --glossary")
     glossary = load_glossary(args.glossary)
     negatives = load_corpus(args.negatives)
-    result = calibrate_fpr(model, glossary, negatives, args.target_fpr)
-    rewrite_bias_line(args.model, result.bias)
+    bias, achieved_fpr = calibrate_fpr(model, glossary, negatives, args.target_fpr)
+    rewrite_bias_line(args.model, bias)
     _emit(
-        f"bias {format_float(result.bias)}\n"
-        f"achieved_fpr {format_float(result.achieved_fpr)}\n"
-        f"target_fpr {format_float(result.target_fpr)}\n"
-        f"n_negatives {result.n_negatives}\n",
+        f"bias {format_float(bias)}\n"
+        f"achieved_fpr {format_float(achieved_fpr)}\n"
+        f"target_fpr {format_float(args.target_fpr)}\n"
+        f"n_negatives {len(negatives)}\n",
         args.output,
     )
     return 0
@@ -276,7 +234,9 @@ def _experiment_config(args: argparse.Namespace, with_b: bool) -> ExperimentConf
         negatives=negatives,
         k=args.k,
         target_fpr=args.target_fpr,
-        lr=LrParams(l2=args.l2, epochs=args.epochs, learning_rate=args.learning_rate),
+        # exp1 trains no LR model, so it has no LR flags.
+        lr=(LrParams(l2=args.l2, epochs=args.epochs, learning_rate=args.learning_rate)
+            if with_b else LrParams()),
     )
 
 
@@ -323,7 +283,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _HANDLERS[args.command](_resolve(args))
+        return _HANDLERS[args.command](args)
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -74,11 +74,11 @@ class CategoryEval:
     ablation/entropy for exp1, corpus A/corpus B for exp2."""
 
     recall_a: float
-    recall_b: float | None
+    recall_b: float
     fpr_a: float
     fpr_b: float | None
     n_pos_a: int
-    n_pos_b: int | None
+    n_pos_b: int
     n_neg: int
     fractional_change: float | None
 
@@ -115,8 +115,9 @@ def _calibrated_kb(spec: CategorySpec, config: ExperimentConfig,
     """Train on the background, calibrate on the negatives and set the bias:
     (model, achieved FPR on the negatives)."""
     model = train(spec.glossary, config.background, config.k, entropy_weighted=entropy_weighted)
-    cal = calibrate_fpr(model, spec.glossary, config.negatives, config.target_fpr)
-    return set_bias_direct(model, cal.bias), cal.achieved_fpr
+    bias, achieved_fpr = calibrate_fpr(model, spec.glossary, config.negatives,
+                                       config.target_fpr)
+    return set_bias_direct(model, bias), achieved_fpr
 
 
 def _kb_recall(model: BackgroundModel, glossary: Glossary, positives: Corpus) -> float:
@@ -242,9 +243,9 @@ def render_records(report: EvalReport) -> str:
     for name, row in report.per_category.items():
         lines.append(
             f"category {name} "
-            f"recall_a {format_float(row.recall_a)} recall_b {_fmt_opt(row.recall_b)} "
+            f"recall_a {format_float(row.recall_a)} recall_b {format_float(row.recall_b)} "
             f"fpr_a {format_float(row.fpr_a)} fpr_b {_fmt_opt(row.fpr_b)} "
-            f"n_pos_a {row.n_pos_a} n_pos_b {row.n_pos_b if row.n_pos_b is not None else 'na'} "
+            f"n_pos_a {row.n_pos_a} n_pos_b {row.n_pos_b} "
             f"n_neg {row.n_neg} fractional_change {_fmt_opt(row.fractional_change)}"
         )
     for key in report.aggregate:
@@ -272,9 +273,8 @@ def render_table(report: EvalReport) -> str:
              header, "-" * len(header)]
     for name, row in report.per_category.items():
         lines.append(
-            f"{name:<{name_w}}  {row.recall_a:>8.4f}  {_fmt_opt(row.recall_b, 4):>8}  "
-            f"{row.fpr_a:>8.4f}  {_fmt_opt(row.fpr_b, 4):>8}  {row.n_pos_a:>7}  "
-            f"{row.n_pos_b if row.n_pos_b is not None else 'na':>7}  "
+            f"{name:<{name_w}}  {row.recall_a:>8.4f}  {row.recall_b:>8.4f}  "
+            f"{row.fpr_a:>8.4f}  {_fmt_opt(row.fpr_b, 4):>8}  {row.n_pos_a:>7}  {row.n_pos_b:>7}  "
             f"{row.n_neg:>6}  {_fmt_opt(row.fractional_change, 4):>9}"
         )
     for key, value in report.aggregate.items():

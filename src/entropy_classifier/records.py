@@ -1,5 +1,5 @@
-"""Line records: the text format of model files, golden recall tables and
---config files, and the one place the package reads and writes files.
+"""Line records: the text format of model files and golden recall tables, and
+the one place the package reads and writes files.
 
 Files are UTF-8, split on "\\n" only, so a value holding U+2028 survives. A
 blank line or a line starting with "#" is not a record. A record's key ends at

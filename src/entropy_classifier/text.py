@@ -8,10 +8,12 @@ its word count everywhere else in the package.
 Corpora come from disk in two layouts, told apart by the path itself: a
 directory (one document per regular file, id = path relative to the
 directory) or any other path, read as a line-delimited file (one document per
-non-empty line, id = zero-padded physical line number). Documents are always
-ordered ascending by id so downstream statistics are reproducible. A Document
-is equal only to itself, so two documents with the same fields are still two
-documents, each with its own match memo entry.
+non-empty line, id = zero-padded physical line number). A directory id that
+holds a tab or line break is refused: an id is one field of a tab-separated,
+line-oriented score record. Documents are always ordered ascending by id so
+downstream statistics are reproducible. A Document is equal only to itself, so
+two documents with the same fields are still two documents, each with its own
+match memo entry.
 """
 
 from __future__ import annotations
@@ -106,6 +108,9 @@ def load_corpus(source) -> Corpus:
         docs = []
         for p in files:
             doc_id = p.relative_to(path).as_posix()
+            if any(ch in doc_id for ch in "\t\n\r"):
+                raise ValidationError(
+                    f"document {doc_id!r}: a file name holds a tab or line break")
             text = records.read_text(p, f"document {doc_id}")
             docs.append(Document.from_text(doc_id, text))
         docs.sort(key=lambda d: d.id)

@@ -133,12 +133,10 @@ class TestCalibrateFpr:
             + ["tax return audit dividend", "portfolio interest rate audit"],
             source="<neg>",
         )
-        result = calibrate_fpr(m, finance_glossary, negatives, target_fpr=0.1)
-        assert result.n_negatives == 22
-        assert result.target_fpr == 0.1
-        assert result.achieved_fpr <= 0.1
-        calibrated = set_bias_direct(m, result.bias)
-        assert measure_fpr(calibrated, finance_glossary, negatives) == result.achieved_fpr
+        bias, achieved_fpr = calibrate_fpr(m, finance_glossary, negatives, target_fpr=0.1)
+        assert achieved_fpr <= 0.1
+        calibrated = set_bias_direct(m, bias)
+        assert measure_fpr(calibrated, finance_glossary, negatives) == achieved_fpr
 
     def test_empty_negatives_rejected(self, finance_glossary, small_background):
         m = train(finance_glossary, small_background)
@@ -150,8 +148,8 @@ class TestCalibrateFpr:
         # 0.0005 * n < 1 for any n < 2000: budget is zero positives
         m = train(finance_glossary, small_background)
         negatives = corpus_from_texts([f"plain text {i}" for i in range(50)])
-        result = calibrate_fpr(m, finance_glossary, negatives, target_fpr=0.0005)
-        assert result.achieved_fpr == 0.0
+        _, achieved_fpr = calibrate_fpr(m, finance_glossary, negatives, target_fpr=0.0005)
+        assert achieved_fpr == 0.0
 
 
 class TestMeasureFpr:

@@ -1,14 +1,11 @@
-import argparse
 import stat
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from entropy_classifier.cli import _resolve, main
+from entropy_classifier.cli import main
 from entropy_classifier.model import load_model
 
-from conftest import loads_or_refuses, write_corpus_dir, write_lines_file
+from conftest import write_corpus_dir, write_lines_file
 
 GLOSSARY = "# finance terms\ntax return\ninterest rate\ndividend\naudit\nportfolio\n"
 
@@ -92,6 +89,12 @@ class TestTrain:
         assert "k must be >= 1 and below 2**63" in capsys.readouterr().err
         assert not (workspace / "model.txt").exists()
 
+    def test_config_flag_is_gone(self, workspace, capsys):
+        write_lines_file(workspace / "defaults.txt", ["k 25"])
+        assert run_train(workspace, config=workspace / "defaults.txt") == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (workspace / "model.txt").exists()
+
     def test_missing_background_dir_is_io_error(self, tmp_path):
         (tmp_path / "gloss.txt").write_text("audit\n", encoding="utf-8")
         rc = main(["train", "--glossary", str(tmp_path / "gloss.txt"),
@@ -131,6 +134,17 @@ class TestScore:
         out = capsys.readouterr().out
         assert "contributions" in out.split("\n")[0]
         assert "dividend=" in out
+
+    @pytest.mark.parametrize("name", ["a\tb.txt", "line\nbreak.txt"], ids=["tab", "newline"])
+    def test_id_with_tab_or_line_break_exits_1(self, workspace, capsys, name):
+        run_train(workspace)
+        corpus = write_corpus_dir(workspace / "in", {"fine.txt": "audit", name: "dividend"})
+        rc = main(["score", "--model", str(workspace / "model.txt"),
+                   "--glossary", str(workspace / "gloss.txt"), "--input", str(corpus)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(name) in captured.err
 
     def test_output_file_and_idempotence(self, workspace):
         run_train(workspace)
@@ -241,46 +255,6 @@ class TestEvaluate:
         assert records["n_negatives"] == "8"
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults(self, workspace):
-        write_lines_file(workspace / "defaults.txt", ["k 25", "# comment", ""])
-        assert run_train(workspace, config=workspace / "defaults.txt") == 0
-        assert load_model(workspace / "model.txt").k == 25
-
-    def test_flag_beats_config(self, workspace):
-        write_lines_file(workspace / "defaults.txt", ["k 25"])
-        assert run_train(workspace, config=workspace / "defaults.txt", k=60) == 0
-        assert load_model(workspace / "model.txt").k == 60
-
-    def test_unknown_key_rejected(self, workspace, capsys):
-        write_lines_file(workspace / "defaults.txt", ["clusters 9"])
-        assert run_train(workspace, config=workspace / "defaults.txt") == 1
-        assert "unknown or malformed" in capsys.readouterr().err
-
-    def test_bad_value_rejected(self, workspace, capsys):
-        write_lines_file(workspace / "defaults.txt", ["k banana"])
-        assert run_train(workspace, config=workspace / "defaults.txt") == 1
-        assert "not a valid int" in capsys.readouterr().err
-
-
-    def test_k_beyond_64_bits_rejected(self, workspace, capsys):
-        write_lines_file(workspace / "defaults.txt", ["k " + "9" * 400])
-        assert run_train(workspace, config=workspace / "defaults.txt") == 1
-        assert "k must be >= 1 and below 2**63" in capsys.readouterr().err
-        assert not (workspace / "model.txt").exists()
-
-    def test_indented_record_rejected(self, workspace, capsys):
-        write_lines_file(workspace / "defaults.txt", ["  k 25"])
-        assert run_train(workspace, config=workspace / "defaults.txt") == 1
-        assert "unknown or malformed" in capsys.readouterr().err
-
-    @given(st.binary(max_size=200))
-    @settings(max_examples=200, deadline=None)
-    def test_arbitrary_bytes_load_or_refuse(self, fuzz_file, data):
-        fuzz_file.write_bytes(data)
-        loads_or_refuses(lambda p: _resolve(argparse.Namespace(config=str(p))), fuzz_file)
-
-
 class TestExperimentCommands:
     def build_exp_workspace(self, tmp_path):
         (tmp_path / "g0.txt").write_text("alpha beta\ngamma\ndelta\n", encoding="utf-8")
@@ -344,20 +318,13 @@ class TestExperimentCommands:
         assert "category cat0/lr" in out
         assert "category cat0/kb" in out
 
-    @pytest.mark.parametrize("flags,config,message", [
-        (["--learning-rate", "-0.5"], None, "learning_rate must be finite and >= 0"),
-        (["--learning-rate", "inf"], None, "learning_rate must be finite and >= 0"),
-        (["--l2", "nan"], None, "l2 must be finite and >= 0"),
-        ([], "l2 inf", "l2 must be finite and >= 0"),
-        ([], "learning_rate -0.5", "learning_rate must be finite and >= 0"),
-    ], ids=["flag-negative-rate", "flag-inf-rate", "flag-nan-l2", "config-inf-l2",
-            "config-negative-rate"])
-    def test_exp2_bad_lr_hyperparameters_exit_1(self, tmp_path, capsys, flags, config,
-                                                  message):
+    @pytest.mark.parametrize("flags,message", [
+        (["--learning-rate", "-0.5"], "learning_rate must be finite and >= 0"),
+        (["--learning-rate", "inf"], "learning_rate must be finite and >= 0"),
+        (["--l2", "nan"], "l2 must be finite and >= 0"),
+    ], ids=["flag-negative-rate", "flag-inf-rate", "flag-nan-l2"])
+    def test_exp2_bad_lr_hyperparameters_exit_1(self, tmp_path, capsys, flags, message):
         ws = self.build_exp_workspace(tmp_path)
-        if config is not None:
-            write_lines_file(ws / "defaults.txt", [config])
-            flags = flags + ["--config", str(ws / "defaults.txt")]
         rc = main(["exp2", "--background", str(ws / "bg.txt"),
                    "--negatives", str(ws / "negs.txt"),
                    "--category", "cat0", str(ws / "g0.txt"),

@@ -143,8 +143,8 @@ class TestExperiment2:
         report = run_experiment2(cfg)
         for spec in cfg.categories:
             kb = train(spec.glossary, cfg.background, cfg.k)
-            cal = calibrate_fpr(kb, spec.glossary, cfg.negatives, cfg.target_fpr)
-            kb = set_bias_direct(kb, cal.bias)
+            bias, _ = calibrate_fpr(kb, spec.glossary, cfg.negatives, cfg.target_fpr)
+            kb = set_bias_direct(kb, bias)
             assert (report.per_category[f"{spec.name}/kb"].fpr_a
                     == measure_fpr(kb, spec.glossary, cfg.negatives))
             lr = train_lr(split_alternating(spec.positives)[0], cfg.background, cfg.lr)

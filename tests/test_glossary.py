@@ -15,7 +15,7 @@ from entropy_classifier.glossary import (
 )
 from entropy_classifier.text import Document
 
-from conftest import random_glossary_and_doc
+from conftest import loads_or_refuses, random_glossary_and_doc
 from oracles import naive_match
 
 
@@ -84,6 +84,12 @@ class TestLoadGlossary:
         p.write_bytes(b"\xff\xfe")
         with pytest.raises(ValidationError, match="not valid UTF-8"):
             load_glossary(p)
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_load_or_refuse(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        loads_or_refuses(load_glossary, fuzz_file)
 
 
 class TestMatching:

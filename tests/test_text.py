@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from entropy_classifier.errors import InputOutputError, ValidationError
 from entropy_classifier.text import Document, corpus_from_texts, load_corpus, tokenize
 
-from conftest import write_corpus_dir, write_lines_file
+from conftest import loads_or_refuses, write_corpus_dir, write_lines_file
 from oracles import naive_tokenize
 
 
@@ -86,6 +86,14 @@ class TestLoadCorpusDirectory:
         with pytest.raises(ValidationError, match="document bad.txt: not valid UTF-8"):
             load_corpus(base)
 
+    @pytest.mark.parametrize("name", ["a\tb.txt", "line\nbreak.txt", "car\rriage.txt"],
+                             ids=["tab", "newline", "carriage-return"])
+    def test_id_with_tab_or_line_break_rejected(self, tmp_path, name):
+        base = write_corpus_dir(tmp_path, {"fine.txt": "ok doc", name: "some doc"})
+        with pytest.raises(ValidationError, match="tab or line break") as info:
+            load_corpus(base)
+        assert repr(name) in str(info.value)
+
     def test_missing_path_is_io_error(self, tmp_path):
         with pytest.raises(InputOutputError, match="cannot read"):
             load_corpus(tmp_path / "nope")
@@ -118,3 +126,9 @@ class TestLoadCorpusLines:
         f = write_lines_file(tmp_path / "lines.txt", ["line doc"])
         assert load_corpus(base).documents[0].id == "a.txt"
         assert load_corpus(f).documents[0].id == "000001"
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_load_or_refuse(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        loads_or_refuses(load_corpus, fuzz_file)
