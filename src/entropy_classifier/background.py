@@ -11,7 +11,7 @@ import math
 
 from .errors import ValidationError
 from .glossary import Glossary, match_document
-from .model import BackgroundModel, idf_from_df
+from .model import BackgroundModel, check_k, idf_from_df
 from .scoring import _score_profile
 from .text import Corpus
 
@@ -45,13 +45,10 @@ def fit_standardization(glossary: Glossary, idf: dict[int, float], k: int,
     return mu, sigma
 
 
-def train(glossary: Glossary, corpus: Corpus, k: int = 100,
+def train(glossary: Glossary, corpus: Corpus, k: int = BackgroundModel.k,
           entropy_weighted: bool = True) -> BackgroundModel:
-    """df -> idf -> (mu, sigma), assembled into a BackgroundModel with the
-    default bias of 3.0 (three standard deviations above the background mean)."""
-    # 64 bits, like a k read from a model file, so L converts to a float.
-    if not 1 <= k < 2**63:
-        raise ValidationError(f"k must be >= 1 and below 2**63, got {k}")
+    """df -> idf -> (mu, sigma), assembled into a BackgroundModel (default bias)."""
+    check_k(k)  # before the fit, which a huge k would overflow
     n_docs, df = compute_df(glossary, corpus)
     idf = {kid: idf_from_df(df[kid], n_docs) for kid in sorted(df)}
     mu, sigma = fit_standardization(glossary, idf, k, corpus, entropy_weighted)
@@ -65,6 +62,5 @@ def train(glossary: Glossary, corpus: Corpus, k: int = 100,
         mu=mu,
         sigma=sigma,
         k=k,
-        bias=3.0,
         entropy_weighted=entropy_weighted,
     )

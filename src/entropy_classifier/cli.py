@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import records
 from .background import train
@@ -29,7 +30,7 @@ from .experiments import (
 )
 from .glossary import load_glossary
 from .logreg import LrParams
-from .model import format_float, load_model, rewrite_bias_line, save_model, set_bias_direct
+from .model import format_float, load_model, rewrite_bias_line, save_model
 from .scoring import score_corpus
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches
 # score_document under this module's name, so the name must stay bound.
@@ -148,7 +149,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if (args.bias is None) == (args.negatives is None):
         raise ValidationError("calibrate needs exactly one of --bias or --negatives")
     if args.bias is not None:
-        updated = set_bias_direct(model, args.bias)
+        updated = replace(model, bias=args.bias)
         rewrite_bias_line(args.model, updated.bias)
         _emit(f"bias {format_float(updated.bias)}\n", args.output)
         return 0

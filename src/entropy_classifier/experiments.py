@@ -26,7 +26,7 @@ averages (_add_fractional_change), in exp2 and in recall_shift tables alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .calibration import calibrate_fpr
 from .errors import ValidationError
 from .glossary import Glossary
 from .logreg import LrParams, calibrate_lr_threshold, lr_decision, train_lr
-from .model import BackgroundModel, format_float, set_bias_direct
+from .model import BackgroundModel, format_float
 from .scoring import score_corpus
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches
 # score_document, measure_fpr and lr_measure_fpr under this module's name, so
@@ -63,7 +63,7 @@ class ExperimentConfig:
     categories: tuple[CategorySpec, ...]
     background: Corpus
     negatives: Corpus
-    k: int = 100
+    k: int = BackgroundModel.k
     target_fpr: float = 0.0005
     lr: LrParams = LrParams()
 
@@ -117,7 +117,7 @@ def _calibrated_kb(spec: CategorySpec, config: ExperimentConfig,
     model = train(spec.glossary, config.background, config.k, entropy_weighted=entropy_weighted)
     bias, achieved_fpr = calibrate_fpr(model, spec.glossary, config.negatives,
                                        config.target_fpr)
-    return set_bias_direct(model, bias), achieved_fpr
+    return replace(model, bias=bias), achieved_fpr
 
 
 def _kb_recall(model: BackgroundModel, glossary: Glossary, positives: Corpus) -> float:

@@ -14,12 +14,18 @@ A model file holds these line records (format in records.py), in this order:
 
 Floats are written with 17 significant digits, which round-trips binary64
 exactly, so a saved model scores byte-for-byte like the in-memory one.
+
+A BackgroundModel checks its invariants when it is built and on every
+dataclasses.replace, so every model that exists can be scored: k >= 1 and
+fits 64 bits (so L converts to a float), n_docs >= 1, mu, sigma and bias are
+finite, sigma > 0, every keyword id 0..len(phrases)-1 has a finite idf and a
+df in [0, n_docs], and glossary_digest is the digest of the phrases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import records
 from .errors import ValidationError
@@ -29,6 +35,11 @@ from .glossary import Glossary
 def format_float(x: float) -> str:
     """Shortest fixed-rule decimal that reparses to the identical double."""
     return format(x, ".17g")
+
+
+def check_k(k: int) -> None:
+    if not 1 <= k < 2**63:
+        raise ValidationError(f"k must be >= 1 and below 2**63, got {k}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +60,25 @@ class BackgroundModel:
     mu: float
     sigma: float
     k: int = 100
-    bias: float = 3.0
+    bias: float = 3.0  # three standard deviations above the background mean
     entropy_weighted: bool = True
+
+    def __post_init__(self) -> None:
+        check_k(self.k)
+        if self.n_docs < 1:
+            raise ValidationError(f"n_docs must be >= 1, got {self.n_docs}")
+        for name in ("mu", "sigma", "bias"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.sigma <= 0:
+            raise ValidationError(f"sigma must be positive, got {self.sigma!r}")
+        for kid in range(len(self.phrases)):
+            if not math.isfinite(self.idf.get(kid, math.nan)):
+                raise ValidationError(f"keyword id {kid} has no idf entry or a non-finite one")
+            if not 0 <= self.df.get(kid, -1) <= self.n_docs:
+                raise ValidationError(f"keyword id {kid} has no df in [0, n_docs]")
+        if Glossary(self.category, self.phrases).digest() != self.glossary_digest:
+            raise ValidationError("glossary_digest does not match the phrases")
 
 
 def idf_from_df(df: int, n_docs: int) -> float:
@@ -63,13 +91,6 @@ def idf_from_df(df: int, n_docs: int) -> float:
     if not (0 <= df <= n_docs):
         raise ValueError(f"df must be in [0, n_docs], got df={df}, n_docs={n_docs}")
     return math.log((n_docs + 1) / (df + 1)) + 1.0
-
-
-def set_bias_direct(model: BackgroundModel, b: float) -> BackgroundModel:
-    """Return the model with bias set to b; every other field unchanged."""
-    if not math.isfinite(b):
-        raise ValidationError(f"bias must be finite, got {b!r}")
-    return replace(model, bias=b)
 
 
 def save_model(model: BackgroundModel, path) -> None:
@@ -114,12 +135,8 @@ def load_model(path) -> BackgroundModel:
     mu = records.to_float(label, "mu", head["mu"])
     sigma = records.to_float(label, "sigma", head["sigma"])
     bias = records.to_float(label, "bias", head["bias"])
-    if n_docs < 1:
+    if n_docs < 1:  # before idf_from_df divides by it
         raise bad(f"n_docs must be >= 1, got {n_docs}")
-    if k < 1:
-        raise bad(f"k must be >= 1, got {k}")
-    if sigma <= 0:
-        raise bad(f"sigma must be positive, got {head['sigma']}")
 
     phrases: list[tuple[str, ...]] = []
     df: dict[int, int] = {}
@@ -141,23 +158,14 @@ def load_model(path) -> BackgroundModel:
     if not phrases:
         raise bad("no kw records")
 
-    glossary = Glossary(category=head["category"], phrases=tuple(phrases))
-    if glossary.digest() != head["glossary_digest"]:
-        raise bad("glossary_digest does not match the kw records")
-
     idf = {kid: idf_from_df(count, n_docs) for kid, count in df.items()}
-    return BackgroundModel(
-        category=head["category"],
-        glossary_digest=head["glossary_digest"],
-        phrases=tuple(phrases),
-        n_docs=n_docs,
-        df=df,
-        idf=idf,
-        mu=mu,
-        sigma=sigma,
-        k=k,
-        bias=bias,
-    )
+    try:
+        return BackgroundModel(
+            category=head["category"], glossary_digest=head["glossary_digest"],
+            phrases=tuple(phrases), n_docs=n_docs, df=df, idf=idf, mu=mu, sigma=sigma,
+            k=k, bias=bias)
+    except ValidationError as exc:
+        raise bad(str(exc)) from None
 
 
 def rewrite_bias_line(path, new_bias: float) -> None:

@@ -104,9 +104,10 @@ def write_text(path, text: str) -> None:
 
 def _replace(target: Path, data: bytes) -> None:
     # No fsync: this guards against a killed process, not against power loss.
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    # The temp name leaves out the target's name, so it fits wherever that fits.
+    tmp = target.with_name(f".{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "wb") as f:
+        with open(tmp, "xb") as f:  # a new file, with the umask's mode
             if target.exists():
                 shutil.copymode(target, tmp)  # calibrate keeps a 0600 model at 0600
             f.write(data)

@@ -20,9 +20,9 @@ _score_profile is the only code that computes the raw score: it reads one
 match profile once, in ascending keyword id order, and returns L, the
 per-keyword contributions, tfidf_over_L, the entropy (through _entropy, the
 one entropy formula, which the checked public shannon_entropy also calls) and
-the raw score; raw_score and
-background.fit_standardization call it. score_corpus is the bulk path: it
-checks the glossary and sigma once before the first document and yields
+the raw score; raw_score and background.fit_standardization call it.
+score_corpus is the bulk path: it checks only the glossary (a model checks
+its own fields, see model.py), once, before the first document, and yields
 score_document (raw_score, then predict) for each document, so every corpus
 is standardized and thresholded by predict alone. The caches live on the
 glossary (see glossary.py) and die with it: raw_score compares the model
@@ -101,11 +101,6 @@ def _check_digest(glossary: Glossary, model: BackgroundModel) -> None:
         raise ValidationError("model was trained for a different glossary")
 
 
-def _check_sigma(model: BackgroundModel) -> None:
-    if model.sigma <= 0:
-        raise ValidationError("model invalid: sigma must be positive")
-
-
 def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: int,
                    entropy_weighted: bool):
     """The scoring kernel: (L, per_keyword, tfidf_over_L, entropy, raw score).
@@ -113,16 +108,11 @@ def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: 
     The only code that computes the raw score. Plain values, no breakdown
     object, so bulk training allocates nothing extra per document. It reads
     tf once, in the ascending id order that MatchProfile guarantees, so every
-    sum runs over ascending keyword ids. L >= k >= 1 because train and
-    load_model bound k.
+    sum runs over ascending keyword ids. L >= k >= 1 and every matched id has
+    an idf: model.py checks both, and raw_score checks the glossary.
     """
     L = max(k, word_count)
-    try:
-        contributions = {kid: n * idf[kid] / L for kid, n in tf.tf.items()}
-    except KeyError as exc:
-        raise ValidationError(
-            f"keyword id {exc.args[0]} has no idf entry: model does not cover this glossary"
-        ) from None
+    contributions = {kid: n * idf[kid] / L for kid, n in tf.tf.items()}
     tfidf_over_L = sum(contributions.values())
     total = tf.total_matches
     # Probabilities built from positive counts need none of shannon_entropy's checks.
@@ -151,7 +141,6 @@ def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> Scor
 
 def predict(breakdown: ScoreBreakdown, model: BackgroundModel) -> ScoreBreakdown:
     """Fill standardized score, probability, and the decision."""
-    _check_sigma(model)
     s_hat = (breakdown.raw_score - model.mu) / model.sigma
     y = sigmoid(s_hat - model.bias)
     return replace(breakdown, standardized=s_hat, probability=y,
@@ -167,11 +156,10 @@ def score_corpus(corpus: Corpus, glossary: Glossary,
                  model: BackgroundModel) -> Iterator[ScoreBreakdown]:
     """score_document for every document, in corpus order.
 
-    The glossary and sigma are checked here, before the first document, so a
-    mismatch is reported even for an empty corpus.
+    The glossary is checked here, before the first document, so a mismatch
+    is reported even for an empty corpus.
     """
     _check_digest(glossary, model)
-    _check_sigma(model)
     return (score_document(doc, glossary, model) for doc in corpus)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .experiments import CategorySpec, ExperimentConfig
 from .glossary import make_glossary
+from .model import BackgroundModel
 from .text import corpus_from_texts
 
 
@@ -41,7 +42,7 @@ class SuiteParams:
     n_topic: int = 8
     spam_fraction: float = 0.15
     target_fpr: float = 0.02
-    k: int = 100
+    k: int = BackgroundModel.k
 
 
 def _compose(rng: random.Random, filler: list[str], n_filler: int, phrases) -> str:

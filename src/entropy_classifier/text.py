@@ -9,11 +9,11 @@ Corpora come from disk in two layouts, told apart by the path itself: a
 directory (one document per regular file, id = path relative to the
 directory) or any other path, read as a line-delimited file (one document per
 non-empty line, id = zero-padded physical line number). A directory id that
-holds a tab or line break is refused: an id is one field of a tab-separated,
-line-oriented score record. Documents are always ordered ascending by id so
-downstream statistics are reproducible. A Document is equal only to itself, so
-two documents with the same fields are still two documents, each with its own
-match memo entry.
+holds a tab or line break, or is not valid UTF-8, is refused: an id is one
+field of a tab-separated, line-oriented UTF-8 score record. Documents are
+always ordered ascending by id so downstream statistics are reproducible. A
+Document is equal only to itself, so two documents with the same fields are
+still two documents, each with its own match memo entry.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import InputOutputError, ValidationError
 # on its own joined output even when lowercasing expands a character into a
 # base letter plus combining marks.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_BAD_ID = re.compile(r"[\t\n\r\ud800-\udfff]")  # a non-UTF-8 name byte decodes to a surrogate
 
 
 def tokenize(raw_text: str) -> list[str]:
@@ -108,9 +109,9 @@ def load_corpus(source) -> Corpus:
         docs = []
         for p in files:
             doc_id = p.relative_to(path).as_posix()
-            if any(ch in doc_id for ch in "\t\n\r"):
-                raise ValidationError(
-                    f"document {doc_id!r}: a file name holds a tab or line break")
+            if _BAD_ID.search(doc_id):
+                raise ValidationError(f"document {doc_id!r}: a file name holds a tab or "
+                                      "line break, or is not valid UTF-8")
             text = records.read_text(p, f"document {doc_id}")
             docs.append(Document.from_text(doc_id, text))
         docs.sort(key=lambda d: d.id)

@@ -10,13 +10,13 @@ from entropy_classifier.background import compute_df, fit_standardization, idf_f
 from entropy_classifier.errors import InputOutputError, ValidationError
 from entropy_classifier.glossary import make_glossary
 from entropy_classifier.model import (
+    BackgroundModel,
     load_model,
     rewrite_bias_line,
     save_model,
-    set_bias_direct,
 )
-from entropy_classifier.scoring import raw_score
-from entropy_classifier.text import corpus_from_texts
+from entropy_classifier.scoring import raw_score, score_document
+from entropy_classifier.text import Document, corpus_from_texts
 
 from conftest import (
     BACKGROUND_TEXTS,
@@ -152,6 +152,115 @@ class TestTrain:
         assert calls == [len(small_background)]
 
 
+def valid_fields(glossary):
+    """Constructor arguments of a valid hand-built model for the glossary."""
+    return dict(
+        category=glossary.category,
+        glossary_digest=glossary.digest(),
+        phrases=glossary.phrases,
+        n_docs=10,
+        df={kid: 0 for kid in range(len(glossary.phrases))},
+        idf={kid: 1.0 for kid in range(len(glossary.phrases))},
+        mu=0.0,
+        sigma=1.0,
+    )
+
+
+# Unset marks a keyword id left out of idf or df.
+_UNSET = object()
+
+
+class TestModelInvariant:
+    @pytest.mark.parametrize("field,value,message", [
+        ("k", 0, "k must be >= 1"),
+        ("k", 2**63, "below 2\\*\\*63"),
+        ("n_docs", 0, "n_docs must be >= 1"),
+        ("mu", math.nan, "mu must be finite"),
+        ("mu", -math.inf, "mu must be finite"),
+        ("sigma", math.inf, "sigma must be finite"),
+        ("sigma", 0.0, "sigma must be positive"),
+        ("sigma", -1.0, "sigma must be positive"),
+        ("bias", math.nan, "bias must be finite"),
+        ("idf", {0: 1.0}, "keyword id 1 has no idf entry"),
+        ("idf", {0: 1.0, 1: math.inf}, "keyword id 1 has no idf entry"),
+        ("df", {0: 0}, "keyword id 1 has no df"),
+        ("df", {0: 0, 1: 11}, "keyword id 1 has no df"),
+        ("df", {0: -1, 1: 0}, "keyword id 0 has no df"),
+        ("glossary_digest", "0" * 64, "glossary_digest does not match"),
+        ("phrases", (("a",),), "glossary_digest does not match"),
+    ])
+    def test_invalid_field_rejected_on_build_and_replace(self, field, value, message):
+        fields = valid_fields(make_glossary("x", [("a",), ("b",)]))
+        with pytest.raises(ValidationError, match=message):
+            BackgroundModel(**{**fields, field: value})
+        with pytest.raises(ValidationError, match=message):
+            replace(BackgroundModel(**fields), **{field: value})
+
+    def test_replace_bias_must_be_finite(self, finance_glossary, small_background):
+        m = train(finance_glossary, small_background)
+        m2 = replace(m, bias=-1.25)
+        assert m2.bias == -1.25
+        assert m2.mu == m.mu
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="bias must be finite"):
+                replace(m, bias=bad)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_built_models_score_and_round_trip(self, fuzz_file, data):
+        # Each field in `broken` gets a stress value; the others stay valid.
+        broken = data.draw(st.just(set()) | st.sets(st.sampled_from(
+            ["mu", "sigma", "bias", "k", "n_docs", "df", "idf", "glossary_digest"]),
+            min_size=1, max_size=2))
+
+        def pick(name, valid, stress):
+            return data.draw(st.sampled_from(stress) if name in broken else valid)
+
+        phrases = data.draw(st.lists(st.lists(_TOKENS, min_size=1, max_size=2).map(tuple),
+                                     min_size=1, max_size=4, unique=True))
+        glossary = make_glossary("c", phrases)
+        n = len(glossary.phrases)
+        n_docs = pick("n_docs", st.integers(1, 50), [0, -1])
+        df = {kid: data.draw(st.integers(0, max(n_docs, 0))) for kid in range(n)}
+        idf = {kid: data.draw(st.floats(0.01, 10.0)) for kid in range(n)}
+        kid = data.draw(st.integers(0, n - 1))
+        for name, values, stress in (("df", df, [_UNSET, -1, max(n_docs, 0) + 1]),
+                                     ("idf", idf, [_UNSET, math.nan, math.inf])):
+            value = pick(name, st.just(values[kid]), stress)
+            if value is _UNSET:
+                del values[kid]
+            else:
+                values[kid] = value
+        nonfinite = [math.nan, math.inf, -math.inf]
+        fields = dict(
+            valid_fields(glossary),
+            glossary_digest=pick("glossary_digest", st.just(glossary.digest()), ["0" * 64]),
+            n_docs=n_docs,
+            df=df,
+            idf=idf,
+            mu=pick("mu", st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3), nonfinite),
+            sigma=pick("sigma", st.floats(1e-3, 1e3), nonfinite + [0.0, -0.0, -1.0]),
+            bias=pick("bias", st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3), nonfinite),
+            k=pick("k", st.sampled_from([1, 2**63 - 1]) | st.integers(1, 10**6),
+                   [0, -1, 2**63]),
+            entropy_weighted=data.draw(st.booleans()),
+        )
+        if broken:
+            with pytest.raises(ValidationError):
+                BackgroundModel(**fields)
+            return
+        m = BackgroundModel(**fields)
+        tokens = [t for phrase in glossary.phrases for t in phrase] + ["filler"]
+        text = " ".join(data.draw(st.lists(st.sampled_from(tokens), max_size=30)))
+        b = score_document(Document.from_text("d", text), glossary, m)
+        for name in ("tfidf_over_L", "entropy", "raw_score", "standardized", "probability"):
+            assert math.isfinite(getattr(b, name)), name
+        if m.entropy_weighted:
+            save_model(m, fuzz_file)
+            want_idf = {kid: idf_from_df(count, m.n_docs) for kid, count in m.df.items()}
+            assert load_model(fuzz_file) == replace(m, idf=want_idf)
+
+
 class TestModelPersistence:
     def test_roundtrip_bitwise(self, tmp_path, finance_glossary, small_background):
         m = train(finance_glossary, small_background)
@@ -205,13 +314,13 @@ class TestModelPersistence:
         save_model(m, tmp_path / "m.txt")
         assert load_model(tmp_path / "m.txt").category == "  fin "
 
-    def test_set_bias_direct(self, finance_glossary, small_background):
+    def test_long_target_name(self, tmp_path, finance_glossary, small_background):
+        # 250 bytes fits NAME_MAX (255); the temp file beside it must fit too.
+        path = tmp_path / ("m" * 246 + ".txt")
         m = train(finance_glossary, small_background)
-        m2 = set_bias_direct(m, -1.25)
-        assert m2.bias == -1.25
-        assert m2.mu == m.mu
-        with pytest.raises(ValidationError, match="finite"):
-            set_bias_direct(m, math.inf)
+        save_model(m, path)
+        assert load_model(path) == m
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def _saved(self, tmp_path, finance_glossary, small_background):
         path = tmp_path / "m.txt"
@@ -290,7 +399,7 @@ class TestModelPersistence:
             raise OSError(5, "injected failure")
 
         monkeypatch.setattr(os, "replace", fail)
-        m = set_bias_direct(train(finance_glossary, small_background), 1.5)
+        m = replace(train(finance_glossary, small_background), bias=1.5)
         with pytest.raises(InputOutputError, match="cannot write"):
             save_model(m, path)
         assert path.read_bytes() == before

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from entropy_classifier.calibration import (
     threshold_for_scores,
 )
 from entropy_classifier.errors import ValidationError
-from entropy_classifier.model import set_bias_direct
 from entropy_classifier.text import corpus_from_texts
 
 
@@ -135,7 +135,7 @@ class TestCalibrateFpr:
         )
         bias, achieved_fpr = calibrate_fpr(m, finance_glossary, negatives, target_fpr=0.1)
         assert achieved_fpr <= 0.1
-        calibrated = set_bias_direct(m, bias)
+        calibrated = replace(m, bias=bias)
         assert measure_fpr(calibrated, finance_glossary, negatives) == achieved_fpr
 
     def test_empty_negatives_rejected(self, finance_glossary, small_background):
@@ -157,7 +157,7 @@ class TestMeasureFpr:
         m = train(finance_glossary, small_background)
         negatives = corpus_from_texts(["no match here"])
         s_hat = -m.mu / m.sigma
-        at_boundary = set_bias_direct(m, s_hat)
+        at_boundary = replace(m, bias=s_hat)
         assert measure_fpr(at_boundary, finance_glossary, negatives) == 1.0
-        above = set_bias_direct(m, math.nextafter(s_hat, math.inf))
+        above = replace(m, bias=math.nextafter(s_hat, math.inf))
         assert measure_fpr(above, finance_glossary, negatives) == 0.0

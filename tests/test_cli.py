@@ -146,6 +146,32 @@ class TestScore:
         assert captured.out == ""
         assert repr(name) in captured.err
 
+    def test_id_that_is_not_utf8_exits_1(self, workspace, capsys):
+        run_train(workspace)
+        try:
+            corpus = write_corpus_dir(workspace / "in", {"fine.txt": "audit",
+                                                         "\udcff.txt": "dividend"})
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        rc = main(["score", "--model", str(workspace / "model.txt"),
+                   "--glossary", str(workspace / "gloss.txt"), "--input", str(corpus)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr("\udcff.txt") in captured.err
+
+    def test_long_output_name(self, workspace):
+        # 250 bytes fits NAME_MAX (255); the temp file beside it must fit too.
+        run_train(workspace)
+        out_dir = workspace / "out"
+        out_dir.mkdir()
+        out = out_dir / ("s" * 246 + ".txt")
+        assert main(["score", "--model", str(workspace / "model.txt"),
+                     "--glossary", str(workspace / "gloss.txt"),
+                     "--input", str(workspace / "input.txt"), "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("# doc_id\t")
+        assert [p.name for p in out_dir.iterdir()] == [out.name]
+
     def test_output_file_and_idempotence(self, workspace):
         run_train(workspace)
         args = ["score", "--model", str(workspace / "model.txt"),
@@ -220,6 +246,15 @@ class TestCalibrate:
         assert rc == 0
         assert load_model(workspace / "model.txt").bias == 1.25
         assert capsys.readouterr().out == "bias 1.25\n"
+
+    @pytest.mark.parametrize("bias", ["inf", "-inf", "nan"])
+    def test_nonfinite_bias_exits_1_and_keeps_model(self, workspace, capsys, bias):
+        run_train(workspace)
+        before = (workspace / "model.txt").read_bytes()
+        rc = main(["calibrate", "--model", str(workspace / "model.txt"), f"--bias={bias}"])
+        assert rc == 1
+        assert "bias must be finite" in capsys.readouterr().err
+        assert (workspace / "model.txt").read_bytes() == before
 
     def test_both_modes_rejected(self, workspace, capsys):
         run_train(workspace)

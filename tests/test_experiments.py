@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,6 @@ from entropy_classifier.experiments import (
 )
 from entropy_classifier.glossary import make_glossary
 from entropy_classifier.logreg import calibrate_lr_threshold, lr_measure_fpr, train_lr
-from entropy_classifier.model import set_bias_direct
 from entropy_classifier.synthetic import SuiteParams, build_suite
 from entropy_classifier.text import corpus_from_texts
 
@@ -144,7 +145,7 @@ class TestExperiment2:
         for spec in cfg.categories:
             kb = train(spec.glossary, cfg.background, cfg.k)
             bias, _ = calibrate_fpr(kb, spec.glossary, cfg.negatives, cfg.target_fpr)
-            kb = set_bias_direct(kb, bias)
+            kb = replace(kb, bias=bias)
             assert (report.per_category[f"{spec.name}/kb"].fpr_a
                     == measure_fpr(kb, spec.glossary, cfg.negatives))
             lr = train_lr(split_alternating(spec.positives)[0], cfg.background, cfg.lr)

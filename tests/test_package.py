@@ -1,7 +1,14 @@
+import doctest
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import entropy_classifier
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -17,3 +24,9 @@ def test_bare_import_loads_no_submodule_and_no_numeric_stack():
     assert "entropy_classifier" in loaded
     assert [m for m in loaded if m.startswith("entropy_classifier.")] == []
     assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(entropy_classifier.__path__)])
+def test_docstring_examples(name):
+    module = importlib.import_module(f"entropy_classifier.{name}")
+    assert doctest.testmod(module).failed == 0

@@ -37,6 +37,15 @@ class TestWrite:
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
+    def test_new_file_gets_umask_mode(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            records.write_text(tmp_path / "f.txt", "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "f.txt").stat().st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
     def test_symlink_target_is_replaced(self, tmp_path):
         (tmp_path / "real.txt").write_bytes(b"old\n")
         (tmp_path / "link.txt").symlink_to("real.txt")

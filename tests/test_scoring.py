@@ -253,10 +253,11 @@ class TestPredict:
         assert b.probability == 0.5
 
     def test_nonpositive_sigma_rejected(self):
+        # The model refuses to exist, so predict never sees sigma <= 0.
         g = make_glossary("x", [("a",)])
-        m = make_model(g, {0: 1.0}, sigma=0.0)
-        with pytest.raises(ValidationError, match="sigma must be positive"):
-            predict(raw_score(Document.from_text("d", "a"), g, m), m)
+        for sigma in (0.0, -0.0, -1.0):
+            with pytest.raises(ValidationError, match="sigma must be positive"):
+                make_model(g, {0: 1.0}, sigma=sigma)
 
 
 class TestStandardizedScores:

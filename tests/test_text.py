@@ -94,6 +94,17 @@ class TestLoadCorpusDirectory:
             load_corpus(base)
         assert repr(name) in str(info.value)
 
+    def test_id_that_is_not_utf8_rejected(self, tmp_path):
+        # Byte 0xff in a file name decodes to the surrogate U+DCFF.
+        try:
+            base = write_corpus_dir(tmp_path, {"fine.txt": "ok doc", "\udcff.txt": "some doc"})
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        with pytest.raises(ValidationError, match="not valid UTF-8") as info:
+            load_corpus(base)
+        assert repr("\udcff.txt") in str(info.value)
+        str(info.value).encode("utf-8")
+
     def test_missing_path_is_io_error(self, tmp_path):
         with pytest.raises(InputOutputError, match="cannot read"):
             load_corpus(tmp_path / "nope")
