@@ -4,7 +4,8 @@ Given scores of a negative corpus, at most m = floor(target_fpr * n) of them
 may sit at or above the bias. The selection is tight: lowering the bias to
 the next distinct negative score would break the budget. The same routine
 thresholds the knowledge-based standardized scores and the logistic
-regression logits.
+regression logits, and every rate is counted by stats.recall, the one
+decision rule (a score at or above the bias is positive).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 from .errors import ValidationError
 from .glossary import Glossary
 from .model import BackgroundModel
-from .scoring import score_corpus, standardized_scores
+from .scoring import standardized_scores
+from .stats import recall
 from .text import Corpus
 
 
@@ -41,8 +43,7 @@ def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
         bias = ordered[m - 1]
     else:
         bias = math.nextafter(ordered[m], math.inf)
-    achieved = sum(1 for s in scores if s >= bias) / n
-    return bias, achieved
+    return bias, recall(scores, bias)
 
 
 def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus,
@@ -53,7 +54,4 @@ def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus,
 
 def measure_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus) -> float:
     """Fraction of negatives the model classifies positive (y >= 0.5)."""
-    scored = score_corpus(negatives, glossary, model)  # checks the glossary first
-    if len(negatives) == 0:
-        raise ValidationError("negative corpus must be non-empty")
-    return sum(1 for b in scored if b.positive) / len(negatives)
+    return recall(standardized_scores(negatives, glossary, model), model.bias)

@@ -31,7 +31,7 @@ from .experiments import (
 from .glossary import load_glossary
 from .logreg import LrParams
 from .model import format_float, load_model, rewrite_bias_line, save_model
-from .scoring import score_corpus
+from .scoring import score_corpus, standardized_scores
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches
 # score_document under this module's name, so the name must stay bound.
 from .scoring import score_document  # noqa: F401
@@ -205,7 +205,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     glossary = load_glossary(args.glossary)
     positives = load_corpus(args.positives)
-    r = recall(lambda b: b.positive, score_corpus(positives, glossary, model))
+    r = recall(standardized_scores(positives, glossary, model), model.bias)
     lines = [f"recall {format_float(r)}", f"n_positives {len(positives)}"]
     if args.negatives is not None:
         negatives = load_corpus(args.negatives)
@@ -241,15 +241,10 @@ def _experiment_config(args: argparse.Namespace, with_b: bool) -> ExperimentConf
     )
 
 
-def _cmd_exp1(args: argparse.Namespace) -> int:
-    report = run_experiment1(_experiment_config(args, with_b=False))
-    _emit(render_records(report), args.output)
-    print(render_table(report), file=sys.stderr, end="")
-    return 0
-
-
-def _cmd_exp2(args: argparse.Namespace) -> int:
-    report = run_experiment2(_experiment_config(args, with_b=True))
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    with_b = args.command == "exp2"
+    run = run_experiment2 if with_b else run_experiment1
+    report = run(_experiment_config(args, with_b))
     _emit(render_records(report), args.output)
     print(render_table(report), file=sys.stderr, end="")
     return 0
@@ -275,8 +270,8 @@ _HANDLERS = {
     "calibrate": _cmd_calibrate,
     "score": _cmd_score,
     "evaluate": _cmd_evaluate,
-    "exp1": _cmd_exp1,
-    "exp2": _cmd_exp2,
+    "exp1": _cmd_experiment,
+    "exp2": _cmd_experiment,
     "verify-tables": _cmd_verify_tables,
 }
 

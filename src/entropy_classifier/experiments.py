@@ -35,14 +35,14 @@ from .background import train
 from .calibration import calibrate_fpr
 from .errors import ValidationError
 from .glossary import Glossary
-from .logreg import LrParams, calibrate_lr_threshold, lr_decision, train_lr
+from .logreg import LrParams, calibrate_lr_threshold, lr_logit, train_lr
 from .model import BackgroundModel, format_float
-from .scoring import score_corpus
+from .scoring import standardized_scores
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches
-# score_document, measure_fpr and lr_measure_fpr under this module's name, so
-# the names must stay bound.
+# score_document, measure_fpr, lr_decision and lr_measure_fpr under this
+# module's name, so the names must stay bound.
 from .calibration import measure_fpr  # noqa: F401
-from .logreg import lr_measure_fpr  # noqa: F401
+from .logreg import lr_decision, lr_measure_fpr  # noqa: F401
 from .scoring import score_document  # noqa: F401
 from .stats import AnovaResult, fractional_change, one_way_anova, recall
 from .text import Corpus
@@ -121,7 +121,7 @@ def _calibrated_kb(spec: CategorySpec, config: ExperimentConfig,
 
 
 def _kb_recall(model: BackgroundModel, glossary: Glossary, positives: Corpus) -> float:
-    return recall(lambda b: b.positive, score_corpus(positives, glossary, model))
+    return recall(standardized_scores(positives, glossary, model), model.bias)
 
 
 def _add_fractional_change(changes: list[float], recall_a: float, recall_b: float,
@@ -210,7 +210,7 @@ def run_experiment2(config: ExperimentConfig) -> EvalReport:
         kb, kb_fpr = _calibrated_kb(spec, config)
         lr, lr_fpr = calibrate_lr_threshold(train_lr(a_train, config.background, config.lr),
                                             config.negatives, config.target_fpr)
-        lr_ra, lr_rb = (recall(lambda d: lr_decision(lr, d), c) for c in (a_eval, corpus_b))
+        lr_ra, lr_rb = (recall(lr_logit(lr, c), lr.threshold_bias) for c in (a_eval, corpus_b))
         kb_ra, kb_rb = (_kb_recall(kb, spec.glossary, c) for c in (a_eval, corpus_b))
         for label, ra, rb, fpr in (("lr", lr_ra, lr_rb, lr_fpr), ("kb", kb_ra, kb_rb, kb_fpr)):
             name = f"{spec.name}/{label}"

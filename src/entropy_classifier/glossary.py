@@ -106,22 +106,19 @@ def load_glossary(source, category: str | None = None) -> Glossary:
     """
     path = Path(source)
     content = records.read_text(path, f"glossary {path}")
-    phrases = set()
+    phrases = []
     for lineno, line in enumerate(content.split("\n"), start=1):
         if line.startswith("#") or line.strip() == "":
             continue
-        toks = tuple(tokenize(line))
+        toks = tokenize(line)
         if not toks:
             raise ValidationError(
                 f"glossary {path}: line {lineno} contains no alphanumeric tokens"
             )
-        phrases.add(toks)
+        phrases.append(toks)
     if not phrases:
         raise ValidationError(f"glossary {path}: no keyword phrases found")
-    return Glossary(
-        category=category if category is not None else path.stem,
-        phrases=tuple(sorted(phrases)),
-    )
+    return make_glossary(category if category is not None else path.stem, phrases)
 
 
 class Matcher:

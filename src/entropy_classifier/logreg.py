@@ -6,6 +6,11 @@ two training documents. Training is full-batch gradient descent on the mean
 logistic loss plus (l2/2)||w||^2 with the intercept unregularized: no
 shuffling, no adaptive rates, so identical inputs give identical weights
 bit for bit.
+
+A corpus is scored as one product, _design_matrix(docs) @ w + intercept, the
+same product training takes (lr_logit). A document is positive when its
+logit is at or above the model's threshold_bias; stats.recall counts that
+rule over a corpus, for the recall and the FPR alike.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from scipy import sparse
 
 from .calibration import threshold_for_scores
 from .errors import ValidationError
+from .stats import recall
 from .text import Corpus, Document
 
 MIN_DF = 2
@@ -146,27 +152,23 @@ def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()
     )
 
 
-def lr_logit(model: LrModel, doc: Document) -> float:
-    """Pre-threshold linear score w . x + intercept."""
-    feats = featurize(doc, model.vocabulary)
-    w = model.weights
-    return float(sum(w[fid] * v for fid, v in feats.items()) + model.intercept)
+def lr_logit(model: LrModel, docs) -> list[float]:
+    """Pre-threshold linear score w . x + intercept of each document, in order."""
+    X = _design_matrix(docs, model.vocabulary)
+    return (X @ model.weights[:-1] + model.intercept).tolist()
 
 
 def lr_decision(model: LrModel, doc: Document) -> bool:
-    return lr_logit(model, doc) >= model.threshold_bias
+    return lr_logit(model, [doc])[0] >= model.threshold_bias
 
 
 def calibrate_lr_threshold(model: LrModel, negatives: Corpus,
                            target_fpr: float) -> tuple[LrModel, float]:
     """Threshold the logits with the same tight FPR rule the knowledge-based
     bias uses: (thresholded model, achieved FPR on the negatives)."""
-    logits = [lr_logit(model, doc) for doc in negatives]
-    bias, achieved = threshold_for_scores(logits, target_fpr)
+    bias, achieved = threshold_for_scores(lr_logit(model, negatives), target_fpr)
     return replace(model, threshold_bias=bias), achieved
 
 
 def lr_measure_fpr(model: LrModel, negatives: Corpus) -> float:
-    if len(negatives) == 0:
-        raise ValidationError("negative corpus must be non-empty")
-    return sum(1 for d in negatives if lr_decision(model, d)) / len(negatives)
+    return recall(lr_logit(model, negatives), model.threshold_bias)

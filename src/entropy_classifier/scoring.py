@@ -20,22 +20,24 @@ _score_profile is the only code that computes the raw score: it reads one
 match profile once, in ascending keyword id order, and returns L, the
 per-keyword contributions, tfidf_over_L, the entropy (through _entropy, the
 one entropy formula, which the checked public shannon_entropy also calls) and
-the raw score; raw_score and background.fit_standardization call it.
-score_corpus is the bulk path: it checks only the glossary (a model checks
-its own fields, see model.py), once, before the first document, and yields
-score_document (raw_score, then predict) for each document, so every corpus
-is standardized and thresholded by predict alone. The caches live on the
-glossary (see glossary.py) and die with it: raw_score compares the model
-against the glossary's cached digest and takes the document's match profile
-from glossary.match_document, so scoring a document that training,
-calibration or an earlier score already matched costs no second match.
+the raw score; raw_score and background.fit_standardization call it. predict
+is the only code that standardizes a raw score and decides it. raw_score
+(public name score_document) runs the kernel and predict and builds one
+complete ScoreBreakdown per document. score_corpus is the bulk path: it
+checks only the glossary (a model checks its own fields, see model.py),
+once, before the first document, and calls raw_score for each document. The
+caches live on the glossary (see glossary.py) and die with it: raw_score
+compares the model against the glossary's cached digest and takes the
+document's match profile from glossary.match_document, so scoring a
+document that training, calibration or an earlier score already matched
+costs no second match.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .glossary import Glossary, MatchProfile, match_document
@@ -78,7 +80,6 @@ def sigmoid(z: float) -> float:
 class ScoreBreakdown:
     """Full explainable trace of one document's score.
 
-    standardized/probability/positive are None until predict() fills them.
     For entropy-weighted models raw_score is entropy times tfidf_over_L
     exactly; ablation models use raw_score = tfidf_over_L.
     """
@@ -91,9 +92,9 @@ class ScoreBreakdown:
     tfidf_over_L: float
     entropy: float
     raw_score: float
-    standardized: float | None = None
-    probability: float | None = None
-    positive: bool | None = None
+    standardized: float
+    probability: float
+    positive: bool
 
 
 def _check_digest(glossary: Glossary, model: BackgroundModel) -> None:
@@ -121,46 +122,37 @@ def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: 
     return L, contributions, tfidf_over_L, entropy, s
 
 
+def predict(raw: float, model: BackgroundModel) -> tuple[float, float, bool]:
+    """(standardized score, probability, decision) of a raw score."""
+    s_hat = (raw - model.mu) / model.sigma
+    return s_hat, sigmoid(s_hat - model.bias), s_hat >= model.bias
+
+
 def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
-    """Compute the breakdown through raw_score (no standardization yet)."""
+    """Score one document: the kernel's raw score, then predict."""
     _check_digest(glossary, model)
     tf = match_document(glossary, doc)
     L, contributions, tfidf_over_L, entropy, s = _score_profile(
         tf, len(doc.tokens), model.idf, model.k, model.entropy_weighted)
-    return ScoreBreakdown(
-        doc_id=doc.id,
-        word_count=len(doc.tokens),
-        effective_length=L,
-        tf=tf,
-        per_keyword=contributions,
-        tfidf_over_L=tfidf_over_L,
-        entropy=entropy,
-        raw_score=s,
-    )
+    # In field order; predict supplies the last three fields.
+    return ScoreBreakdown(doc.id, len(doc.tokens), L, tf, contributions, tfidf_over_L,
+                          entropy, s, *predict(s, model))
 
 
-def predict(breakdown: ScoreBreakdown, model: BackgroundModel) -> ScoreBreakdown:
-    """Fill standardized score, probability, and the decision."""
-    s_hat = (breakdown.raw_score - model.mu) / model.sigma
-    y = sigmoid(s_hat - model.bias)
-    return replace(breakdown, standardized=s_hat, probability=y,
-                   positive=s_hat >= model.bias)
-
-
-def score_document(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
-    """raw_score + predict in one call."""
-    return predict(raw_score(doc, glossary, model), model)
+# raw_score under its public name. raw_score keeps its own name as well:
+# tests/test_acceptance.py and the benchmark tracer (perfbench/tracer.py) use it.
+score_document = raw_score
 
 
 def score_corpus(corpus: Corpus, glossary: Glossary,
                  model: BackgroundModel) -> Iterator[ScoreBreakdown]:
-    """score_document for every document, in corpus order.
+    """raw_score for every document, in corpus order.
 
     The glossary is checked here, before the first document, so a mismatch
     is reported even for an empty corpus.
     """
     _check_digest(glossary, model)
-    return (score_document(doc, glossary, model) for doc in corpus)
+    return (raw_score(doc, glossary, model) for doc in corpus)
 
 
 def standardized_scores(corpus: Corpus, glossary: Glossary, model: BackgroundModel) -> list[float]:

@@ -136,13 +136,14 @@ def one_way_anova(groups) -> AnovaResult:
     )
 
 
-def recall(is_positive, positives) -> float:
-    """Fraction of a positive corpus classified positive by the given
-    per-document decision function."""
-    docs = list(positives)
-    if not docs:
-        raise ValidationError("positive corpus must be non-empty")
-    return sum(1 for d in docs if is_positive(d)) / len(docs)
+def recall(scores, bias: float) -> float:
+    """Fraction of scores >= bias: the one decision rule (a document is
+    positive when its score is at or above the bias) and the one rate. Over a
+    positive corpus's scores it is the recall, over a negative corpus's the FPR.
+    """
+    if len(scores) == 0:
+        raise ValidationError("the scored corpus must be non-empty")
+    return sum(1 for s in scores if s >= bias) / len(scores)
 
 
 def fractional_change(recall_a: float, recall_b: float) -> float:

@@ -105,6 +105,15 @@ def numeric_gradient(f, w, h: float = 1e-5):
     return grad
 
 
+def naive_logit(weights, intercept: float, features: dict[int, float]) -> float:
+    """w . x + intercept for one document's sparse features, summed left to
+    right in ascending feature id order from 0.0."""
+    total = 0.0
+    for fid in sorted(features):
+        total += float(weights[fid]) * features[fid]
+    return total + intercept
+
+
 def naive_mean_std(values) -> tuple[float, float]:
     """Mean and population standard deviation, two explicit passes."""
     n = len(values)

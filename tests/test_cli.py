@@ -289,6 +289,17 @@ class TestEvaluate:
         assert float(records["fpr"]) <= 0.1
         assert records["n_negatives"] == "8"
 
+    def test_empty_positives_exit_1(self, workspace, capsys):
+        run_train(workspace)
+        capsys.readouterr()
+        empty = write_lines_file(workspace / "empty.txt", ["", "  "])
+        rc = main(["evaluate", "--model", str(workspace / "model.txt"),
+                   "--glossary", str(workspace / "gloss.txt"), "--positives", str(empty)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-empty" in captured.err
+
 
 class TestExperimentCommands:
     def build_exp_workspace(self, tmp_path):

@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from entropy_classifier.errors import ValidationError
 from entropy_classifier.logreg import (
+    LrModel,
     LrParams,
     _design_matrix,
     build_vocabulary,
@@ -22,7 +25,7 @@ from entropy_classifier.logreg import (
 )
 from entropy_classifier.text import Document, corpus_from_texts
 
-from oracles import numeric_gradient
+from oracles import naive_logit, numeric_gradient
 
 
 def toy_problem(rng, n_samples=12, n_features=5):
@@ -120,10 +123,8 @@ class TestTrainLr:
     def test_learns_separable_toy(self):
         pos, neg = make_training_corpora()
         model = train_lr(pos, neg, LrParams(l2=1e-4, epochs=300, learning_rate=0.5))
-        for doc in pos:
-            assert lr_logit(model, doc) > 0
-        for doc in neg:
-            assert lr_logit(model, doc) < 0
+        assert all(z > 0 for z in lr_logit(model, pos))
+        assert all(z < 0 for z in lr_logit(model, neg))
 
     def test_loss_nonincreasing_along_trajectory(self):
         pos, neg = make_training_corpora()
@@ -172,13 +173,38 @@ class TestTrainLr:
             train_lr(pos, empty)
 
 
+class TestLogit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_corpus_logits_equal_per_document_formula(self, data):
+        # The one matrix product gives, bit for bit, each document's
+        # left-to-right sum over its features plus the intercept.
+        vocab = {t: i for i, t in enumerate(data.draw(
+            st.lists(st.sampled_from("abcdef"), unique=True), label="vocabulary"))}
+        weights = data.draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=len(vocab) + 1, max_size=len(vocab) + 1), label="weights")
+        texts = data.draw(st.lists(
+            st.lists(st.sampled_from("abcdefz"), max_size=30).map(" ".join), max_size=8),
+            label="documents")
+        model = LrModel(vocabulary=vocab, weights=np.array(weights))
+        docs = [Document.from_text(f"d{i}", text) for i, text in enumerate(texts)]
+        got = lr_logit(model, docs)
+        want = [naive_logit(model.weights, model.intercept, featurize(d, vocab)) for d in docs]
+        assert [z.hex() for z in got] == [z.hex() for z in want]
+
+
 class TestDecision:
     def test_decision_boundary_inclusive(self):
         pos, neg = make_training_corpora()
         model = train_lr(pos, neg)
         doc = pos.documents[0]
         tuned, _ = calibrate_lr_threshold(model, neg, 0.2)
-        assert lr_decision(tuned, doc) is (lr_logit(tuned, doc) >= tuned.threshold_bias)
+        [z] = lr_logit(tuned, [doc])
+        assert lr_decision(tuned, doc) is (z >= tuned.threshold_bias)
+        assert lr_decision(replace(tuned, threshold_bias=z), doc) is True
+        assert lr_decision(replace(tuned, threshold_bias=math.nextafter(z, math.inf)),
+                           doc) is False
 
     def test_threshold_calibration_bounds_fpr(self):
         pos, neg = make_training_corpora()

@@ -13,6 +13,7 @@ from entropy_classifier.errors import ValidationError
 from entropy_classifier.glossary import Glossary, MatchProfile, make_glossary
 from entropy_classifier.model import BackgroundModel
 from entropy_classifier.scoring import (
+    ScoreBreakdown,
     _score_profile,
     predict,
     raw_score,
@@ -238,7 +239,8 @@ class TestPredict:
     def test_fills_decision_fields(self):
         g = make_glossary("x", [("a",)])
         m = make_model(g, {0: 1.0}, mu=0.1, sigma=0.2, bias=1.0)
-        b = predict(raw_score(Document.from_text("d", "nothing"), g, m), m)
+        b = raw_score(Document.from_text("d", "nothing"), g, m)
+        assert predict(b.raw_score, m) == (b.standardized, b.probability, b.positive)
         assert b.standardized == pytest.approx((0.0 - 0.1) / 0.2, rel=1e-15)
         assert b.probability == pytest.approx(sigmoid(b.standardized - 1.0), rel=1e-15)
         assert b.positive is (b.standardized >= 1.0)
@@ -251,6 +253,14 @@ class TestPredict:
         assert b.standardized == -2.0
         assert b.positive is True
         assert b.probability == 0.5
+
+    def test_no_field_is_none(self):
+        g = make_glossary("x", [("a",), ("b",)])
+        m = make_model(g, {0: 1.0, 1: 2.0})
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(ScoreBreakdown))
+        for text in ("", "nothing here", "a b a"):
+            b = score_document(Document.from_text("d", text), g, m)
+            assert [f.name for f in dataclasses.fields(b) if getattr(b, f.name) is None] == []
 
     def test_nonpositive_sigma_rejected(self):
         # The model refuses to exist, so predict never sees sigma <= 0.

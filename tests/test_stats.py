@@ -13,7 +13,6 @@ from entropy_classifier.stats import (
     recall,
     regularized_incomplete_beta,
 )
-from entropy_classifier.text import corpus_from_texts
 
 REFERENCE = Path(__file__).parent / "data" / "inc_beta_reference.txt"
 
@@ -143,12 +142,15 @@ class TestOneWayAnova:
 
 class TestRecall:
     def test_fraction(self):
-        corpus = corpus_from_texts(["a", "b", "c", "d"])
-        assert recall(lambda d: d.raw_text in ("a", "c"), corpus) == 0.5
+        # A score equal to the bias counts as positive.
+        assert recall([0.1, 0.5, -2.0, 0.7], 0.5) == 0.5
+        assert recall([1.0], 1.0) == 1.0
+        assert recall([math.nextafter(1.0, -math.inf)], 1.0) == 0.0
+        assert recall([-0.5, -0.5, -0.25, -1.0], -0.5) == 0.75
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
-            recall(lambda d: True, corpus_from_texts([]))
+            recall([], 0.0)
 
 
 class TestFractionalChange:
