@@ -3,14 +3,16 @@
 Given scores of a negative corpus, at most m = floor(target_fpr * n) of them
 may sit at or above the bias. The selection is tight: lowering the bias to
 the next distinct negative score would break the budget. The same routine
-thresholds the knowledge-based standardized scores and the logistic
-regression logits, and every rate is counted by stats.recall, the one
-decision rule (a score at or above the bias is positive).
+thresholds the knowledge-based scores (calibrate_fpr) and the logistic
+regression logits (logreg.calibrate_lr_threshold); both return (thresholded
+model, achieved FPR), and a BackgroundModel refuses a bias that is not
+finite. Every rate is counted by stats.recall, the one decision rule.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .errors import ValidationError
 from .glossary import Glossary
@@ -21,7 +23,7 @@ from .text import Corpus
 
 
 def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
-    """Pick the tight bias for a list of negative scores.
+    """Pick the tight bias for a list of finite negative scores.
 
     Returns (bias, achieved_fpr) with achieved_fpr <= target_fpr guaranteed.
     """
@@ -30,6 +32,8 @@ def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
         raise ValidationError("negative corpus must be non-empty")
     if not (0.0 < target_fpr < 1.0):
         raise ValidationError(f"target_fpr must be in (0, 1), got {target_fpr}")
+    if not all(map(math.isfinite, scores)):
+        raise ValidationError("every negative score must be finite")
     ordered = sorted(scores, reverse=True)
     # floor(target * n) < n holds mathematically for target < 1; the clamp
     # guards the one case float rounding could push the product up to n.
@@ -47,9 +51,11 @@ def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
 
 
 def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus,
-                  target_fpr: float) -> tuple[float, float]:
-    """(bias, achieved_fpr) that hold the FPR on the negatives <= target."""
-    return threshold_for_scores(standardized_scores(negatives, glossary, model), target_fpr)
+                  target_fpr: float) -> tuple[BackgroundModel, float]:
+    """(model with the tight bias, achieved_fpr), the FPR on the negatives <= target."""
+    bias, achieved_fpr = threshold_for_scores(standardized_scores(negatives, glossary, model),
+                                              target_fpr)
+    return replace(model, bias=bias), achieved_fpr
 
 
 def measure_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus) -> float:

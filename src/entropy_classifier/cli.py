@@ -30,7 +30,8 @@ from .experiments import (
 )
 from .glossary import load_glossary
 from .logreg import LrParams
-from .model import format_float, load_model, rewrite_bias_line, save_model
+from .model import load_model, rewrite_bias_line, save_model
+from .records import format_float
 from .scoring import score_corpus, standardized_scores
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches
 # score_document under this module's name, so the name must stay bound.
@@ -149,23 +150,19 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if (args.bias is None) == (args.negatives is None):
         raise ValidationError("calibrate needs exactly one of --bias or --negatives")
     if args.bias is not None:
-        updated = replace(model, bias=args.bias)
-        rewrite_bias_line(args.model, updated.bias)
-        _emit(f"bias {format_float(updated.bias)}\n", args.output)
-        return 0
-    if args.glossary is None:
+        updated, report = replace(model, bias=args.bias), ""
+    elif args.glossary is None:
         raise ValidationError("calibrate --negatives needs --glossary")
-    glossary = load_glossary(args.glossary)
-    negatives = load_corpus(args.negatives)
-    bias, achieved_fpr = calibrate_fpr(model, glossary, negatives, args.target_fpr)
-    rewrite_bias_line(args.model, bias)
-    _emit(
-        f"bias {format_float(bias)}\n"
-        f"achieved_fpr {format_float(achieved_fpr)}\n"
-        f"target_fpr {format_float(args.target_fpr)}\n"
-        f"n_negatives {len(negatives)}\n",
-        args.output,
-    )
+    else:
+        glossary = load_glossary(args.glossary)
+        negatives = load_corpus(args.negatives)
+        updated, achieved_fpr = calibrate_fpr(model, glossary, negatives, args.target_fpr)
+        report = (f"achieved_fpr {format_float(achieved_fpr)}\n"
+                  f"target_fpr {format_float(args.target_fpr)}\n"
+                  f"n_negatives {len(negatives)}\n")
+    # The model checked the bias, so the file gets only a bias it will load.
+    rewrite_bias_line(args.model, updated.bias)
+    _emit(f"bias {format_float(updated.bias)}\n" + report, args.output)
     return 0
 
 

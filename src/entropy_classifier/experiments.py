@@ -10,12 +10,14 @@ regression trained on half of each category's A corpus (background corpus as
 the negative class) against the knowledge-based model, both calibrated to the
 same FPR target, evaluated on A's held-out half and on the disjoint B corpus.
 The comparison metric is the fractional change of recall from A to B. Each
-row's FPR on the negatives is the one calibration achieved (calibrate_fpr for
-the knowledge-based model, calibrate_lr_threshold's count over the logits it
-thresholded for LR), so no classifier scores the negatives twice.
+row's FPR on the negatives is the one calibration achieved: calibrate_fpr and
+calibrate_lr_threshold each return (thresholded model, achieved FPR), so no
+classifier scores the negatives twice.
 
 verify_tables recomputes aggregates from bundled golden recall tables and
-checks them against the expectations recorded in the files themselves.
+checks them against the expectations recorded in the files themselves. A
+table is line records (records.py): the `format_version 1` and `kind` header,
+an optional `labels` record third, then `row` and `expect` records.
 
 Both experiments and verify_table summarize through _summarize: the mean of
 each group, then a one-way ANOVA when every group holds at least 2 values. A
@@ -26,7 +28,7 @@ averages (_add_fractional_change), in exp2 and in recall_shift tables alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -36,7 +38,8 @@ from .calibration import calibrate_fpr
 from .errors import ValidationError
 from .glossary import Glossary
 from .logreg import LrParams, calibrate_lr_threshold, lr_logit, train_lr
-from .model import BackgroundModel, format_float
+from .model import BackgroundModel
+from .records import format_float
 from .scoring import standardized_scores
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches
 # score_document, measure_fpr, lr_decision and lr_measure_fpr under this
@@ -112,12 +115,10 @@ def _validate_config(config: ExperimentConfig, need_b: bool) -> None:
 
 def _calibrated_kb(spec: CategorySpec, config: ExperimentConfig,
                    entropy_weighted: bool = True) -> tuple[BackgroundModel, float]:
-    """Train on the background, calibrate on the negatives and set the bias:
-    (model, achieved FPR on the negatives)."""
+    """Train on the background and calibrate on the negatives:
+    (thresholded model, achieved FPR on the negatives)."""
     model = train(spec.glossary, config.background, config.k, entropy_weighted=entropy_weighted)
-    bias, achieved_fpr = calibrate_fpr(model, spec.glossary, config.negatives,
-                                       config.target_fpr)
-    return replace(model, bias=bias), achieved_fpr
+    return calibrate_fpr(model, spec.glossary, config.negatives, config.target_fpr)
 
 
 def _kb_recall(model: BackgroundModel, glossary: Glossary, positives: Corpus) -> float:
@@ -185,8 +186,8 @@ def run_experiment1(config: ExperimentConfig) -> EvalReport:
 
 
 def split_alternating(corpus: Corpus) -> tuple[Corpus, Corpus]:
-    """Deterministic half split of an id-sorted corpus: even positions train,
-    odd positions held out."""
+    """Deterministic half split of a corpus in its order: even positions
+    train, odd positions held out."""
     if len(corpus) < 2:
         raise ValidationError("cannot split a corpus with fewer than 2 documents")
     train_docs = corpus.documents[0::2]
@@ -326,37 +327,30 @@ def bundled_golden_paths() -> list[Path]:
 
 
 def _parse_golden(path: Path):
+    """A golden table: the `kind` header record, an optional `labels` record
+    straight after it, then `row` and `expect` records in any order."""
     label = f"table file {path}"
 
     def bad(what: str) -> ValidationError:
         return ValidationError(f"{label}: {what}")
 
-    kind = None
+    head, body = records.head(records.parse(records.read_text(path, label)), ("kind",), label)
+    kind = head["kind"].strip()
+    if kind not in ("recall_pair", "recall_shift"):
+        raise bad(f"unknown kind: {head['kind']!r}")
     labels: tuple[str, str] = ("a", "b")
+    if body and body[0][1] == "labels":
+        (lineno, _, value), body = body[0], body[1:]
+        parts = value.split()
+        if len(parts) != 2 or parts[0] == parts[1]:
+            raise bad(f"labels needs exactly two distinct names (line {lineno})")
+        labels = (parts[0], parts[1])
     rows: list[tuple[str, tuple[float, ...]]] = []
     expects: list[tuple[str, float, str, float]] = []
-    seen: set[str] = set()
-    for lineno, key, value in records.parse(records.read_text(path, label)):
+    for lineno, key, value in body:
         parts = value.split()
-        if key in ("format_version", "kind", "labels"):
-            if key in seen:
-                raise bad(f"repeated {key} on line {lineno}")
-            seen.add(key)
-        if key == "format_version":
-            if parts != [str(records.FORMAT_VERSION)]:
-                raise bad(f"unsupported format_version on line {lineno}")
-        elif key == "kind":
-            if parts not in (["recall_pair"], ["recall_shift"]):
-                raise bad(f"unknown kind on line {lineno}: {value!r}")
-            kind = parts[0]
-        elif key == "labels":
-            if len(parts) != 2 or parts[0] == parts[1]:
-                raise bad(f"labels needs exactly two distinct names (line {lineno})")
-            labels = (parts[0], parts[1])
-        elif key == "row":
+        if key == "row":
             want = 3 if kind == "recall_pair" else 5
-            if kind is None:
-                raise bad(f"row before kind (line {lineno})")
             if len(parts) != want:
                 raise bad(f"row needs {want} fields (line {lineno}): {value!r}")
             values = tuple(records.to_float(label, f"recall on line {lineno}", v)
@@ -372,10 +366,6 @@ def _parse_golden(path: Path):
             expects.append((parts[0], expected, parts[2], tol))
         else:
             raise bad(f"unknown record {key!r} on line {lineno}")
-    if "format_version" not in seen:
-        raise bad("missing format_version record")
-    if kind is None:
-        raise bad("missing kind record")
     if not rows:
         raise bad("no data rows")
     return kind, labels, rows, expects

@@ -1,8 +1,8 @@
 """Trained background model: state, persistence, and the model file format.
 
-A model file holds these line records (format in records.py), in this order:
+A model file holds these line records (format in records.py), in this order,
+after the `format_version 1` record that every record file starts with:
 
-    format_version 1
     category <string>
     glossary_digest <hex>
     n_docs <int>
@@ -30,11 +30,6 @@ from dataclasses import dataclass
 from . import records
 from .errors import ValidationError
 from .glossary import Glossary
-
-
-def format_float(x: float) -> str:
-    """Shortest fixed-rule decimal that reparses to the identical double."""
-    return format(x, ".17g")
 
 
 def check_k(k: int) -> None:
@@ -103,20 +98,18 @@ def save_model(model: BackgroundModel, path) -> None:
         raise ValidationError("model cannot be saved: a phrase token is empty "
                               "or holds whitespace")
     records.write_records(path, [
-        ("format_version", str(records.FORMAT_VERSION)),
         ("category", model.category),
         ("glossary_digest", model.glossary_digest),
         ("n_docs", str(model.n_docs)),
         ("k", str(model.k)),
-        ("mu", format_float(model.mu)),
-        ("sigma", format_float(model.sigma)),
-        ("bias", format_float(model.bias)),
+        ("mu", records.format_float(model.mu)),
+        ("sigma", records.format_float(model.sigma)),
+        ("bias", records.format_float(model.bias)),
     ] + [("kw", f"{kid} {model.df[kid]} {' '.join(phrase)}")
          for kid, phrase in enumerate(model.phrases)])
 
 
-_HEAD = ("format_version", "category", "glossary_digest", "n_docs", "k", "mu",
-         "sigma", "bias")
+_HEAD = ("category", "glossary_digest", "n_docs", "k", "mu", "sigma", "bias")
 
 
 def load_model(path) -> BackgroundModel:
@@ -126,10 +119,7 @@ def load_model(path) -> BackgroundModel:
     def bad(what: str) -> ValidationError:
         return ValidationError(f"{label}: {what}")
 
-    recs = records.parse(records.read_text(path, label))
-    head = records.head(recs, _HEAD, label)
-    if head["format_version"] != str(records.FORMAT_VERSION):
-        raise bad(f"unsupported format_version {head['format_version']!r}")
+    head, body = records.head(records.parse(records.read_text(path, label)), _HEAD, label)
     n_docs = records.to_int(label, "n_docs", head["n_docs"])
     k = records.to_int(label, "k", head["k"])
     mu = records.to_float(label, "mu", head["mu"])
@@ -140,7 +130,7 @@ def load_model(path) -> BackgroundModel:
 
     phrases: list[tuple[str, ...]] = []
     df: dict[int, int] = {}
-    for _, key, value in recs[len(_HEAD):]:
+    for _, key, value in body:
         parts = value.split(" ", 2)
         if key != "kw" or len(parts) != 3:
             raise bad(f"expected kw record, found {key} {value!r}")
@@ -177,5 +167,5 @@ def rewrite_bias_line(path, new_bias: float) -> None:
     if len(hits) != 1:
         raise ValidationError(f"{label}: expected exactly one bias record, found {len(hits)}")
     lines = content.split("\n")
-    lines[hits[0] - 1] = f"bias {format_float(new_bias)}"
+    lines[hits[0] - 1] = f"bias {records.format_float(new_bias)}"
     records.write_text(path, "\n".join(lines))

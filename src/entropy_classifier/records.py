@@ -4,7 +4,9 @@ the one place the package reads and writes files.
 Files are UTF-8, split on "\\n" only, so a value holding U+2028 survives. A
 blank line or a line starting with "#" is not a record. A record's key ends at
 the first whitespace character; its value is the rest of the line after that
-character, unchanged, so edge spaces survive. Writes are atomic: a temp file
+character, unchanged, so edge spaces survive. Every file starts with a
+`format_version 1` record, then its fixed header records in order: only
+write_records and head know the version. Writes are atomic: a temp file
 beside the target replaces it, so a failed or killed write leaves the old file.
 """
 
@@ -46,14 +48,19 @@ def parse(text: str) -> list[tuple[int, str, str]]:
             if line.strip() and not line.startswith("#")]
 
 
-def head(records, keys, label: str) -> dict[str, str]:
-    """Values of the leading records, which must carry exactly `keys` in order."""
+def head(records, keys, label: str) -> tuple[dict[str, str], list]:
+    """(values of the header, the records after it). The header is a
+    `format_version 1` record, then records carrying exactly `keys` in order."""
+    keys = ("format_version", *keys)
     if len(records) < len(keys):
         raise ValidationError(f"{label}: truncated header")
     for key, (_, found, _) in zip(keys, records):
         if found != key:
             raise ValidationError(f"{label}: expected {key!r} record, found {found!r}")
-    return {key: value for key, (_, _, value) in zip(keys, records)}
+    if records[0][2] != str(FORMAT_VERSION):
+        raise ValidationError(f"{label}: unsupported format_version {records[0][2]!r}")
+    return ({key: value for key, (_, _, value) in zip(keys[1:], records[1:])},
+            records[len(keys):])
 
 
 def to_int(label: str, key: str, value: str) -> int:
@@ -67,6 +74,11 @@ def to_int(label: str, key: str, value: str) -> int:
     return x
 
 
+def format_float(x: float) -> str:
+    """Shortest fixed-rule decimal that reparses to the identical double."""
+    return format(x, ".17g")
+
+
 def to_float(label: str, key: str, value: str) -> float:
     try:
         x = float(value)
@@ -78,7 +90,9 @@ def to_float(label: str, key: str, value: str) -> float:
 
 
 def write_records(path, records: list[tuple[str, str]]) -> None:
-    """Write (key, value) records, one line each, atomically."""
+    """Write `format_version 1`, then the (key, value) records, one line each,
+    atomically."""
+    records = [("format_version", str(FORMAT_VERSION)), *records]
     for key, value in records:
         if "\n" in value:
             raise ValidationError(f"{key} {value!r} contains a newline: a record is one line")

@@ -89,15 +89,14 @@ class AnovaResult:
     df_between: int
     df_within: int
     p_value: float
-    within_variance_zero: bool = False
 
 
 def one_way_anova(groups) -> AnovaResult:
     """Standard one-way ANOVA over >= 2 groups of >= 2 values each.
 
     SSW = 0 (every group internally constant, but groups differ) is reported
-    as F = inf, p = 0 with the within_variance_zero flag set rather than an
-    error, since it is a legitimate extreme of real data.
+    as F = inf, for which f_sf gives p = 0, rather than an error, since it is
+    a legitimate extreme of real data.
     """
     groups = [list(map(float, g)) for g in groups]
     if len(groups) < 2:
@@ -119,21 +118,9 @@ def one_way_anova(groups) -> AnovaResult:
     )
     df_between = len(groups) - 1
     df_within = n_total - len(groups)
-    if ssw == 0.0:
-        return AnovaResult(
-            f_stat=math.inf,
-            df_between=df_between,
-            df_within=df_within,
-            p_value=0.0,
-            within_variance_zero=True,
-        )
-    f_stat = (ssb / df_between) / (ssw / df_within)
-    return AnovaResult(
-        f_stat=f_stat,
-        df_between=df_between,
-        df_within=df_within,
-        p_value=f_sf(f_stat, df_between, df_within),
-    )
+    f_stat = math.inf if ssw == 0.0 else (ssb / df_between) / (ssw / df_within)
+    return AnovaResult(f_stat=f_stat, df_between=df_between, df_within=df_within,
+                       p_value=f_sf(f_stat, df_between, df_within))
 
 
 def recall(scores, bias: float) -> float:

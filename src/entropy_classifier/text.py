@@ -10,10 +10,11 @@ directory (one document per regular file, id = path relative to the
 directory) or any other path, read as a line-delimited file (one document per
 non-empty line, id = zero-padded physical line number). A directory id that
 holds a tab or line break, or is not valid UTF-8, is refused: an id is one
-field of a tab-separated, line-oriented UTF-8 score record. Documents are
-always ordered ascending by id so downstream statistics are reproducible. A
-Document is equal only to itself, so two documents with the same fields are
-still two documents, each with its own match memo entry.
+field of a tab-separated, line-oriented UTF-8 score record. A directory's
+documents are ordered ascending by id, a line file's by line and an in-memory
+corpus's by text, so downstream statistics are reproducible. A Document is
+equal only to itself, so two documents with the same fields are still two
+documents, each with its own match memo entry.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class Document:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered document collection; order is ascending lexicographic by id."""
+    """Ordered document collection, in the order its source gives (see the
+    module docstring)."""
 
     documents: tuple[Document, ...]
     source: str
@@ -73,20 +75,11 @@ class Corpus:
         return iter(self.documents)
 
 
-def corpus_from_texts(texts, ids=None, source: str = "<memory>") -> Corpus:
-    """Build an in-memory Corpus; ids default to zero-padded positions."""
-    texts = list(texts)
-    if ids is None:
-        ids = [f"{i:06d}" for i in range(1, len(texts) + 1)]
-    else:
-        ids = list(ids)
-        if len(ids) != len(texts):
-            raise ValidationError("corpus ids and texts differ in length")
-    if len(set(ids)) != len(ids):
-        raise ValidationError("corpus ids must be unique")
-    docs = [Document.from_text(i, t) for i, t in zip(ids, texts)]
-    docs.sort(key=lambda d: d.id)
-    return Corpus(documents=tuple(docs), source=source)
+def corpus_from_texts(texts, source: str = "<memory>") -> Corpus:
+    """Build an in-memory Corpus in text order; ids are zero-padded positions."""
+    return Corpus(documents=tuple(Document.from_text(f"{i:06d}", t)
+                                  for i, t in enumerate(texts, start=1)),
+                  source=source)
 
 
 def load_corpus(source) -> Corpus:

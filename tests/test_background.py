@@ -355,6 +355,7 @@ class TestModelPersistence:
         (("kw 0 13 audit", "kw 0 13 audits"), "glossary_digest does not match"),
         # idf divides by n_docs + 1 as a float
         (("n_docs 14", "n_docs " + "9" * 400), "n_docs is not a 64-bit integer"),
+        (("format_version 1\n", ""), "expected 'format_version' record, found 'category'"),
     ])
     def test_load_rejects_corruption(self, tmp_path, finance_glossary,
                                      small_background, mutation, message):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropy_classifier import calibration
 from entropy_classifier.background import train
 from entropy_classifier.calibration import (
     calibrate_fpr,
@@ -105,6 +106,13 @@ class TestThresholdForScores:
         with pytest.raises(ValidationError, match="target_fpr"):
             threshold_for_scores([1.0], bad)
 
+    @pytest.mark.parametrize("top", [math.inf, math.nan])
+    def test_non_finite_score_rejected(self, top):
+        # An infinite top score would give bias inf and an achieved FPR of
+        # 1/20 against a 0.0005 target.
+        with pytest.raises(ValidationError, match="finite"):
+            threshold_for_scores([top] + [0.0] * 19, 0.0005)
+
     def test_guarantee_and_tightness_on_random_fixtures(self):
         # score separation is far above the bump epsilon, so the guarantee
         # and tightness are exact properties here
@@ -133,10 +141,23 @@ class TestCalibrateFpr:
             + ["tax return audit dividend", "portfolio interest rate audit"],
             source="<neg>",
         )
-        bias, achieved_fpr = calibrate_fpr(m, finance_glossary, negatives, target_fpr=0.1)
+        calibrated, achieved_fpr = calibrate_fpr(m, finance_glossary, negatives, target_fpr=0.1)
         assert achieved_fpr <= 0.1
-        calibrated = replace(m, bias=bias)
+        assert calibrated == replace(m, bias=calibrated.bias)
         assert measure_fpr(calibrated, finance_glossary, negatives) == achieved_fpr
+
+    def test_infinite_tight_bias_rejected(self, finance_glossary, small_background,
+                                          monkeypatch):
+        # The tight bias above the largest double is nextafter(DBL_MAX) = inf,
+        # which no model holds.
+        m = train(finance_glossary, small_background)
+        top = 1.7976931348623157e308
+        assert math.nextafter(top, math.inf) == math.inf
+        monkeypatch.setattr(calibration, "standardized_scores",
+                            lambda corpus, glossary, model: [top] + [0.0] * 19)
+        negatives = corpus_from_texts([f"plain text {i}" for i in range(20)])
+        with pytest.raises(ValidationError, match="bias must be finite"):
+            calibrate_fpr(m, finance_glossary, negatives, target_fpr=0.0005)
 
     def test_empty_negatives_rejected(self, finance_glossary, small_background):
         m = train(finance_glossary, small_background)

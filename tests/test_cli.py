@@ -256,6 +256,20 @@ class TestCalibrate:
         assert "bias must be finite" in capsys.readouterr().err
         assert (workspace / "model.txt").read_bytes() == before
 
+    def test_unloadable_calibrated_bias_exits_1_and_keeps_model(self, workspace, capsys):
+        # A tiny sigma that the model file accepts standardizes a keyword-rich
+        # negative to inf; no bias calibrated from such scores may be written.
+        run_train(workspace)
+        path = workspace / "model.txt"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines = ["sigma 1e-310" if ln.startswith("sigma ") else ln for ln in lines]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        before = path.read_bytes()
+        write_lines_file(workspace / "negs.txt", NEGATIVE_LINES + INPUT_LINES)
+        assert self.calibrate(workspace) == 1
+        assert "finite" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
     def test_both_modes_rejected(self, workspace, capsys):
         run_train(workspace)
         rc = self.calibrate(workspace, "--bias", "1.0")

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,8 +142,7 @@ class TestExperiment2:
         report = run_experiment2(cfg)
         for spec in cfg.categories:
             kb = train(spec.glossary, cfg.background, cfg.k)
-            bias, _ = calibrate_fpr(kb, spec.glossary, cfg.negatives, cfg.target_fpr)
-            kb = replace(kb, bias=bias)
+            kb, _ = calibrate_fpr(kb, spec.glossary, cfg.negatives, cfg.target_fpr)
             assert (report.per_category[f"{spec.name}/kb"].fpr_a
                     == measure_fpr(kb, spec.glossary, cfg.negatives))
             lr = train_lr(split_alternating(spec.positives)[0], cfg.background, cfg.lr)
@@ -258,8 +255,8 @@ class TestVerifyTable:
         assert report.all_passed
 
     @pytest.mark.parametrize("lines,message", [
-        (["kind recall_pair", "row a 0.1 0.2"], "missing format_version"),
-        (["format_version 1", "row a 0.1 0.2"], "row before kind"),
+        (["kind recall_pair", "row a 0.1 0.2"], "expected 'format_version' record, found 'kind'"),
+        (["format_version 1", "row a 0.1 0.2"], "expected 'kind' record, found 'row'"),
         (["format_version 1", "kind bogus"], "unknown kind"),
         (["format_version 1", "kind recall_pair"], "no data rows"),
         (["format_version 1", "kind recall_pair", "row a 0.1"], "row needs 3 fields"),
@@ -269,11 +266,17 @@ class TestVerifyTable:
           "expect mean_a 0.1 nearly 0.1"], "malformed expect"),
         (["format_version 1", "kind recall_pair", "  row a 0.1 0.2"], "unknown record ''"),
         (["format_version 1", "kind recall_pair", "row a 0.1 0.2",
-          "kind recall_shift", "row b 0.1 0.2 0.3 0.4"], "repeated kind on line 4"),
+          "kind recall_shift", "row b 0.1 0.2 0.3 0.4"], "unknown record 'kind' on line 4"),
         (["format_version 1", "kind recall_shift", "labels lr lr",
           "row a 0.1 0.2 0.3 0.4", "row b 0.2 0.3 0.4 0.5"], "two distinct names"),
         (["format_version 1", "kind recall_shift", "labels lr kb", "row a 0.1 0.2 0.3 0.4",
-          "labels x y"], "repeated labels on line 5"),
+          "labels x y"], "unknown record 'labels' on line 5"),
+        (["kind recall_pair", "format_version 1", "row a 0.1 0.2"],
+         "expected 'format_version' record, found 'kind'"),
+        (["format_version 1", "kind recall_shift", "row a 0.1 0.2 0.3 0.4", "labels lr kb",
+          "row b 0.2 0.3 0.4 0.5"], "unknown record 'labels' on line 4"),
+        (["format_version 2", "kind recall_pair", "row a 0.1 0.2"],
+         "unsupported format_version '2'"),
     ])
     def test_malformed_tables_rejected(self, tmp_path, lines, message):
         p = write_lines_file(tmp_path / "t.txt", lines)

@@ -127,7 +127,6 @@ class TestOneWayAnova:
         res = one_way_anova([[1.0, 1.0], [2.0, 2.0]])
         assert math.isinf(res.f_stat)
         assert res.p_value == 0.0
-        assert res.within_variance_zero is True
 
     def test_all_identical_rejected(self):
         with pytest.raises(ValidationError, match="identical"):

@@ -53,20 +53,8 @@ class TestCorpusFromTexts:
     def test_default_ids_and_order(self):
         c = corpus_from_texts(["b", "a"])
         assert [d.id for d in c] == ["000001", "000002"]
+        assert [d.raw_text for d in c] == ["b", "a"]
         assert len(c) == 2
-
-    def test_sorted_by_id(self):
-        c = corpus_from_texts(["x", "y"], ids=["zz", "aa"])
-        assert [d.id for d in c] == ["aa", "zz"]
-        assert [d.raw_text for d in c] == ["y", "x"]
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError, match="unique"):
-            corpus_from_texts(["x", "y"], ids=["a", "a"])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="differ in length"):
-            corpus_from_texts(["x"], ids=["a", "b"])
 
 
 class TestLoadCorpusDirectory:
