@@ -11,20 +11,28 @@ A corpus is scored as one product, _design_matrix(docs) @ w + intercept, the
 same product training takes (lr_logit). A document is positive when its
 logit is at or above the model's threshold_bias; stats.recall counts that
 rule over a corpus, for the recall and the FPR alike.
+
+numpy and scipy are imported inside the functions that use them, so that
+`import entropy_classifier.cli` (which reaches this module through
+experiments) stays free of the numeric stack and only exp2 loads it; the
+public names stay bound here and in experiments, where the benchmark tracer
+(perfbench/tracer.py) patches them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
-from scipy import sparse
+from typing import TYPE_CHECKING
 
 from .calibration import threshold_for_scores
 from .errors import ValidationError
 from .stats import recall
 from .text import Corpus, Document
+
+if TYPE_CHECKING:
+    import numpy as np
+    from scipy import sparse
 
 MIN_DF = 2
 
@@ -73,6 +81,9 @@ def featurize(doc: Document, vocab: dict[str, int]) -> dict[int, float]:
 
 
 def _design_matrix(docs, vocab: dict[str, int]) -> sparse.csr_matrix:
+    import numpy as np
+    from scipy import sparse
+
     data, indices, indptr = [], [], [0]
     for doc in docs:
         feats = featurize(doc, vocab)
@@ -88,6 +99,8 @@ def _design_matrix(docs, vocab: dict[str, int]) -> sparse.csr_matrix:
 
 
 def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -99,6 +112,8 @@ def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
 def logistic_loss(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
                   y: np.ndarray, l2: float) -> float:
     """Mean logistic loss + (l2/2)||w||^2, intercept excluded from the penalty."""
+    import numpy as np
+
     z = X @ w + intercept
     # log(1 + e^-z) and log(1 + e^z) via logaddexp for overflow safety
     per_sample = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
@@ -108,6 +123,8 @@ def logistic_loss(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
 def logistic_gradient(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
                       y: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
     """Gradient of logistic_loss wrt (w, intercept)."""
+    import numpy as np
+
     z = X @ w + intercept
     residual = _sigmoid_vec(z) - y
     grad_w = (X.T @ residual) / len(y) + l2 * w
@@ -116,7 +133,13 @@ def logistic_gradient(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
 
 
 def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()) -> LrModel:
-    """Full-batch gradient descent from zero weights for a fixed epoch count."""
+    """Full-batch gradient descent from zero weights for a fixed epoch count.
+
+    A diverging run overflows silently and is reported once, as a
+    ValidationError, when its loss is no longer finite.
+    """
+    import numpy as np
+
     if len(positives) == 0 or len(negatives) == 0:
         raise ValidationError("LR training needs non-empty positive and negative corpora")
     if params.epochs < 0:
@@ -135,16 +158,17 @@ def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()
     X = _design_matrix(docs, vocab)
     w = np.zeros(len(vocab), dtype=np.float64)
     intercept = 0.0
-    for epoch in range(params.epochs):
-        grad_w, grad_b = logistic_gradient(w, intercept, X, y, params.l2)
-        w = w - params.learning_rate * grad_w
-        intercept = intercept - params.learning_rate * grad_b
-        loss = logistic_loss(w, intercept, X, y, params.l2)
-        if not math.isfinite(loss):
-            raise ValidationError(
-                f"LR training diverged at epoch {epoch + 1} (loss is not finite); "
-                "try a smaller learning rate"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(params.epochs):
+            grad_w, grad_b = logistic_gradient(w, intercept, X, y, params.l2)
+            w = w - params.learning_rate * grad_w
+            intercept = intercept - params.learning_rate * grad_b
+            loss = logistic_loss(w, intercept, X, y, params.l2)
+            if not math.isfinite(loss):
+                raise ValidationError(
+                    f"LR training diverged at epoch {epoch + 1} (loss is not finite); "
+                    "try a smaller learning rate"
+                )
     return LrModel(
         vocabulary=vocab,
         weights=np.append(w, intercept),

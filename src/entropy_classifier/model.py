@@ -19,7 +19,9 @@ A BackgroundModel checks its invariants when it is built and on every
 dataclasses.replace, so every model that exists can be scored: k >= 1 and
 fits 64 bits (so L converts to a float), n_docs >= 1, mu, sigma and bias are
 finite, sigma > 0, every keyword id 0..len(phrases)-1 has a finite idf and a
-df in [0, n_docs], and glossary_digest is the digest of the phrases.
+df in [0, n_docs], glossary_digest is the digest of the phrases, and sigma is
+large enough that (raw - mu) / sigma is finite for every raw score the model
+can produce.
 """
 
 from __future__ import annotations
@@ -67,11 +69,21 @@ class BackgroundModel:
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma <= 0:
             raise ValidationError(f"sigma must be positive, got {self.sigma!r}")
+        max_idf = 0.0
         for kid in range(len(self.phrases)):
             if not math.isfinite(self.idf.get(kid, math.nan)):
                 raise ValidationError(f"keyword id {kid} has no idf entry or a non-finite one")
             if not 0 <= self.df.get(kid, -1) <= self.n_docs:
                 raise ValidationError(f"keyword id {kid} has no df in [0, n_docs]")
+            max_idf = max(max_idf, abs(self.idf[kid]))
+        # Matches never overlap, so total matches <= word count <= L: the raw
+        # score is at most max idf, times at most ln |phrases| of entropy.
+        bound = max_idf
+        if self.entropy_weighted and len(self.phrases) > 1:
+            bound *= max(1.0, math.log(len(self.phrases)))
+        if not math.isfinite((abs(self.mu) + bound) / self.sigma):
+            raise ValidationError(f"sigma {self.sigma!r} is too small: a standardized "
+                                  "score of this model would not be finite")
         if Glossary(self.category, self.phrases).digest() != self.glossary_digest:
             raise ValidationError("glossary_digest does not match the phrases")
 

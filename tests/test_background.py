@@ -180,6 +180,7 @@ class TestModelInvariant:
         ("sigma", math.inf, "sigma must be finite"),
         ("sigma", 0.0, "sigma must be positive"),
         ("sigma", -1.0, "sigma must be positive"),
+        ("sigma", 1e-310, "sigma 1e-310 is too small"),
         ("bias", math.nan, "bias must be finite"),
         ("idf", {0: 1.0}, "keyword id 1 has no idf entry"),
         ("idf", {0: 1.0, 1: math.inf}, "keyword id 1 has no idf entry"),
@@ -195,6 +196,22 @@ class TestModelInvariant:
             BackgroundModel(**{**fields, field: value})
         with pytest.raises(ValidationError, match=message):
             replace(BackgroundModel(**fields), **{field: value})
+
+    @pytest.mark.parametrize("entropy_weighted", [True, False])
+    def test_smallest_sigma_still_scores_the_largest_raw_score(self, entropy_weighted):
+        # "a b c" with k = 1 reaches the raw score bound: idf 2 times ln 3
+        # nats of entropy (2 alone for the ablation).
+        glossary = make_glossary("x", [("a",), ("b",), ("c",)])
+        bound = 2.0 * math.log(3) if entropy_weighted else 2.0
+        fields = dict(valid_fields(glossary), idf={0: 2.0, 1: 2.0, 2: 2.0}, mu=-1.0, k=1,
+                      entropy_weighted=entropy_weighted)
+        sigma = (1.0 + bound) / 1.7e308
+        m = BackgroundModel(**{**fields, "sigma": sigma})
+        b = score_document(Document.from_text("d", "a b c"), glossary, m)
+        assert b.raw_score == pytest.approx(bound, rel=1e-15)
+        assert math.isfinite(b.standardized) and b.standardized > 1e308
+        with pytest.raises(ValidationError, match="is too small"):
+            BackgroundModel(**{**fields, "sigma": sigma / 2})
 
     def test_replace_bias_must_be_finite(self, finance_glossary, small_background):
         m = train(finance_glossary, small_background)

@@ -35,6 +35,16 @@ def workspace(tmp_path):
     return tmp_path
 
 
+def write_tiny_sigma(ws):
+    """Train, then set the model's sigma to a subnormal value; return the path."""
+    run_train(ws)
+    path = ws / "model.txt"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines = ["sigma 1e-310" if ln.startswith("sigma ") else ln for ln in lines]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path
+
+
 def run_train(ws, **extra):
     args = ["train", "--glossary", str(ws / "gloss.txt"),
             "--background", str(ws / "corpus"),
@@ -208,6 +218,23 @@ class TestScore:
         assert (workspace / "model.txt").read_bytes() == model_bytes
 
 
+@pytest.mark.parametrize("command,inputs", [
+    ("score", ["--input", "input.txt"]),
+    ("evaluate", ["--positives", "input.txt", "--negatives", "negs.txt"]),
+], ids=["score", "evaluate"])
+def test_model_with_tiny_sigma_exits_1(workspace, capsys, command, inputs):
+    # Every line would standardize to +-inf, so the model must not load.
+    path = write_tiny_sigma(workspace)
+    capsys.readouterr()
+    rc = main([command, "--model", str(path), "--glossary", str(workspace / "gloss.txt")]
+              + [str(workspace / a) if a.endswith(".txt") else a for a in inputs])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma 1e-310 is too small" in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestCalibrate:
     def calibrate(self, ws, *extra):
         return main(["calibrate", "--model", str(ws / "model.txt"),
@@ -257,13 +284,9 @@ class TestCalibrate:
         assert (workspace / "model.txt").read_bytes() == before
 
     def test_unloadable_calibrated_bias_exits_1_and_keeps_model(self, workspace, capsys):
-        # A tiny sigma that the model file accepts standardizes a keyword-rich
-        # negative to inf; no bias calibrated from such scores may be written.
-        run_train(workspace)
-        path = workspace / "model.txt"
-        lines = path.read_text(encoding="utf-8").split("\n")
-        lines = ["sigma 1e-310" if ln.startswith("sigma ") else ln for ln in lines]
-        path.write_text("\n".join(lines), encoding="utf-8")
+        # A sigma so small that a keyword-rich negative would standardize to
+        # inf: the model refuses to load, so no bias is calibrated or written.
+        path = write_tiny_sigma(workspace)
         before = path.read_bytes()
         write_lines_file(workspace / "negs.txt", NEGATIVE_LINES + INPUT_LINES)
         assert self.calibrate(workspace) == 1
@@ -395,6 +418,20 @@ class TestExperimentCommands:
         assert captured.out == ""
         assert message in captured.err
         assert "diverged" not in captured.err
+
+    def test_exp2_divergence_exits_1_without_warning(self, tmp_path, capsys):
+        ws = self.build_exp_workspace(tmp_path)
+        rc = main(["exp2", "--background", str(ws / "bg.txt"),
+                   "--negatives", str(ws / "negs.txt"),
+                   "--category", "cat0", str(ws / "g0.txt"),
+                   str(ws / "p0.txt"), str(ws / "p0b.txt"),
+                   "--target-fpr", "0.1", "--k", "10", "--epochs", "3",
+                   "--learning-rate", "1e308"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "diverged" in captured.err
+        assert "RuntimeWarning" not in captured.err
 
     def test_exp1_output_file(self, tmp_path):
         ws = self.build_exp_workspace(tmp_path)

@@ -151,9 +151,8 @@ class TestTrainLr:
         # rate * l2 >> 2 makes the weight-decay step oscillate with
         # exponentially growing amplitude until the penalty overflows
         pos, neg = make_training_corpora()
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValidationError, match="LR training diverged at epoch"):
-                train_lr(pos, neg, LrParams(l2=1.0, epochs=200, learning_rate=1e9))
+        with pytest.raises(ValidationError, match="LR training diverged at epoch"):
+            train_lr(pos, neg, LrParams(l2=1.0, epochs=200, learning_rate=1e9))
 
     @pytest.mark.parametrize("name,value", [
         ("l2", -1e-4), ("l2", math.nan), ("l2", math.inf),
