@@ -111,6 +111,17 @@ def _validate_config(config: ExperimentConfig, need_b: bool) -> None:
         seen.add(spec.name)
         if need_b and spec.positives_b is None:
             raise ValidationError(f"category {spec.name}: experiment 2 needs a B corpus")
+        # Refused before any model is trained. Experiment 2 splits A into a
+        # training half and a held-out half, so A needs two documents there.
+        corpora = [("A", spec.positives, 2 if need_b else 1)]
+        if need_b:
+            corpora.append(("B", spec.positives_b, 1))
+        for label, corpus, least in corpora:
+            if len(corpus) < least:
+                raise ValidationError(
+                    f"category {spec.name}: corpus {label} ({corpus.source}) holds "
+                    f"{len(corpus)} documents, needs at least {least}"
+                )
 
 
 def _calibrated_kb(spec: CategorySpec, config: ExperimentConfig,

@@ -20,17 +20,23 @@ _score_profile is the only code that computes the raw score: it reads one
 match profile once, in ascending keyword id order, and returns L, the
 per-keyword contributions, tfidf_over_L, the entropy (through _entropy, the
 one entropy formula, which the checked public shannon_entropy also calls) and
-the raw score; raw_score and background.fit_standardization call it. predict
-is the only code that standardizes a raw score and decides it. raw_score
-(public name score_document) runs the kernel and predict and builds one
-complete ScoreBreakdown per document. score_corpus is the bulk path: it
-checks only the glossary (a model checks its own fields, see model.py),
-once, before the first document, and calls raw_score for each document. The
-caches live on the glossary (see glossary.py) and die with it: raw_score
-compares the model against the glossary's cached digest and takes the
-document's match profile from glossary.match_document, so scoring a
-document that training, calibration or an earlier score already matched
-costs no second match.
+the raw score; raw_score, standardized_scores and
+background.fit_standardization call it. _standardize is the one
+(raw - mu) / sigma expression, so the bulk path and predict cannot differ by
+an ulp at the calibrated bias.
+
+standardized_scores is the bulk path (calibrate, evaluate and the experiment
+recalls): it checks only the glossary (a model checks its own fields, see
+model.py), once, before the first document, then runs the kernel and
+_standardize per document and builds no ScoreBreakdown. raw_score (public
+name score_document) serves the score command and --explain: it runs the
+kernel and predict, which standardizes a raw score and decides it, and
+builds one complete ScoreBreakdown per document; score_corpus checks the
+glossary once and calls raw_score for each document. The caches live on the
+glossary (see glossary.py) and die with it: both paths compare the model
+against the glossary's cached digest and take the document's match profile
+from glossary.match_document, so scoring a document that training,
+calibration or an earlier score already matched costs no second match.
 """
 
 from __future__ import annotations
@@ -110,7 +116,8 @@ def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: 
     object, so bulk training allocates nothing extra per document. It reads
     tf once, in the ascending id order that MatchProfile guarantees, so every
     sum runs over ascending keyword ids. L >= k >= 1 and every matched id has
-    an idf: model.py checks both, and raw_score checks the glossary.
+    an idf: model.py checks both; raw_score and standardized_scores check the
+    glossary, and training derives idf from the glossary it matches with.
     """
     L = max(k, word_count)
     contributions = {kid: n * idf[kid] / L for kid, n in tf.tf.items()}
@@ -122,9 +129,13 @@ def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: 
     return L, contributions, tfidf_over_L, entropy, s
 
 
+def _standardize(raw: float, model: BackgroundModel) -> float:
+    return (raw - model.mu) / model.sigma
+
+
 def predict(raw: float, model: BackgroundModel) -> tuple[float, float, bool]:
     """(standardized score, probability, decision) of a raw score."""
-    s_hat = (raw - model.mu) / model.sigma
+    s_hat = _standardize(raw, model)
     return s_hat, sigmoid(s_hat - model.bias), s_hat >= model.bias
 
 
@@ -156,5 +167,13 @@ def score_corpus(corpus: Corpus, glossary: Glossary,
 
 
 def standardized_scores(corpus: Corpus, glossary: Glossary, model: BackgroundModel) -> list[float]:
-    """Standardized score for every document, in corpus order."""
-    return [b.standardized for b in score_corpus(corpus, glossary, model)]
+    """Standardized score for every document, in corpus order.
+
+    The glossary is checked once, before the first document, so a mismatch
+    is reported even for an empty corpus.
+    """
+    _check_digest(glossary, model)
+    idf, k, entropy_weighted = model.idf, model.k, model.entropy_weighted
+    return [_standardize(_score_profile(match_document(glossary, doc), len(doc.tokens), idf, k,
+                                        entropy_weighted)[-1], model)
+            for doc in corpus]

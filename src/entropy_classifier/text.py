@@ -3,7 +3,10 @@
 A token is a maximal run of Unicode alphanumeric characters in the lowercased
 text; everything else separates tokens. No stemming, no stop words, and digits
 are kept so terms like "401k" survive. The token count of a document defines
-its word count everywhere else in the package.
+its word count everywhere else in the package. Lowercased text that is all
+ASCII is split through a translate table that turns every character but
+[a-z0-9] into a space, which is faster than the regex and yields the same
+tokens; other text goes through the regex.
 
 Corpora come from disk in two layouts, told apart by the path itself: a
 directory (one document per regular file, id = path relative to the
@@ -20,6 +23,7 @@ documents, each with its own match memo entry.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +35,10 @@ from .errors import InputOutputError, ValidationError
 # on its own joined output even when lowercasing expands a character into a
 # base letter plus combining marks.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every ASCII character but [a-z0-9] becomes a space, so str.split() yields
+# exactly _WORD_RE's tokens of lowercased ASCII text.
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128))
+                                   if c not in string.ascii_lowercase + string.digits})
 _BAD_ID = re.compile(r"[\t\n\r\ud800-\udfff]")  # a non-UTF-8 name byte decodes to a surrogate
 
 
@@ -42,7 +50,10 @@ def tokenize(raw_text: str) -> list[str]:
     >>> tokenize("")
     []
     """
-    return _WORD_RE.findall(raw_text.lower())
+    lowered = raw_text.lower()
+    if lowered.isascii():
+        return lowered.translate(_ASCII_SEPARATORS).split()
+    return _WORD_RE.findall(lowered)
 
 
 # eq=False: a Document compares and hashes by identity, so a match memo keyed

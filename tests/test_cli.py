@@ -433,6 +433,28 @@ class TestExperimentCommands:
         assert "diverged" in captured.err
         assert "RuntimeWarning" not in captured.err
 
+    @pytest.mark.parametrize("command,a_lines,b_lines,corpus", [
+        ("exp1", [], None, "corpus A"),
+        ("exp2", ["only one"], ["shifted alpha"], "corpus A"),
+        ("exp2", ["report alpha", "report beta"], [], "corpus B"),
+    ], ids=["exp1-empty-a", "exp2-one-doc-a", "exp2-empty-b"])
+    def test_too_small_category_corpus_exits_1_naming_it(self, tmp_path, capsys, command,
+                                                         a_lines, b_lines, corpus):
+        ws = self.build_exp_workspace(tmp_path)
+        a_path = write_lines_file(ws / "small_a.txt", a_lines)
+        category = ["--category", "cat0", str(ws / "g0.txt"), str(a_path)]
+        if b_lines is not None:
+            category.append(str(write_lines_file(ws / "small_b.txt", b_lines)))
+        rc = main([command, "--background", str(ws / "bg.txt"),
+                   "--negatives", str(ws / "negs.txt"), *category,
+                   "--target-fpr", "0.1", "--k", "10"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        small = "small_a.txt" if corpus == "corpus A" else "small_b.txt"
+        assert f"category cat0: {corpus} (" in captured.err
+        assert small in captured.err
+
     def test_exp1_output_file(self, tmp_path):
         ws = self.build_exp_workspace(tmp_path)
         out_file = ws / "records.txt"

@@ -284,6 +284,26 @@ class TestStandardizedScores:
                 assert getattr(b, field.name) == getattr(want, field.name), field.name
 
 
+    @given(docs=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "x", "y"]), max_size=40),
+                         max_size=12),
+           idf=st.lists(st.floats(0.01, 8.0), min_size=4, max_size=4),
+           mu=st.floats(-2.0, 2.0), sigma=st.floats(1e-3, 4.0),
+           k=st.sampled_from([1, 5, 100]), entropy_weighted=st.booleans())
+    @settings(max_examples=150)
+    def test_bit_identical_to_breakdown_path(self, docs, idf, mu, sigma, k, entropy_weighted):
+        g = make_glossary("x", [("a",), ("a", "b"), ("c",), ("d", "c")])
+        m = make_model(g, dict(enumerate(idf)), mu=mu, sigma=sigma, k=k,
+                       entropy_weighted=entropy_weighted)
+        corpus = corpus_from_texts([" ".join(d) for d in docs])
+        want = [b.standardized.hex() for b in score_corpus(corpus, g, m)]
+        assert [s.hex() for s in standardized_scores(corpus, g, m)] == want
+
+    def test_empty_corpus_with_wrong_glossary_rejected(self):
+        m = make_model(make_glossary("x", [("a",)]), {0: 1.0})
+        with pytest.raises(ValidationError, match="model was trained for a different glossary"):
+            standardized_scores(corpus_from_texts([]), make_glossary("x", [("b",)]), m)
+
+
 class TestOracleEquivalence:
     def test_random_instances_match_naive_formulas(self):
         rng = random.Random(90125)

@@ -34,6 +34,22 @@ class TestTokenize:
     def test_matches_character_scan_oracle(self, s):
         assert tokenize(s) == naive_tokenize(s)
 
+    # Lowercased all-ASCII text takes the translate-table path; the property
+    # above rarely draws such text.
+    @given(st.text(st.characters(max_codepoint=127), max_size=200))
+    @settings(max_examples=300)
+    def test_ascii_matches_character_scan_oracle(self, s):
+        assert tokenize(s) == naive_tokenize(s)
+
+    @pytest.mark.parametrize("text", [
+        "a\x1cb\x1dc\x1ed\x1fe",  # str.split() also splits on these
+        "foo_bar__baz_",
+        "\u212aelvin 5\u212a",  # Kelvin sign: not ASCII, but lowercases to ASCII "k"
+        "\u0130stanbul \u0130",  # lowercases to "i" plus a combining mark: regex path
+    ], ids=["file-separators", "underscores", "kelvin-sign", "dotted-capital-i"])
+    def test_fast_path_edge_cases_match_oracle(self, text):
+        assert tokenize(text) == naive_tokenize(text)
+
     @given(st.text(max_size=200))
     @settings(max_examples=300)
     def test_idempotent_on_own_output(self, s):
