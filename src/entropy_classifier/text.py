@@ -3,17 +3,20 @@
 A token is a maximal run of Unicode alphanumeric characters in the lowercased
 text; everything else separates tokens. No stemming, no stop words, and digits
 are kept so terms like "401k" survive. The token count of a document defines
-its word count everywhere else in the package. Lowercased text that is all
-ASCII is split through a translate table that turns every character but
-[a-z0-9] into a space, which is faster than the regex and yields the same
-tokens; other text goes through the regex.
+its word count everywhere else in the package. The lowercased text's UTF-8
+bytes go through one translate table that turns every ASCII byte but [a-z0-9]
+into a space, then str.split(); only a word that still holds a non-ASCII
+separator goes through the regex. That is faster than the regex alone and
+yields the same tokens.
 
 Corpora come from disk in two layouts, told apart by the path itself: a
 directory (one document per regular file, id = path relative to the
 directory) or any other path, read as a line-delimited file (one document per
 non-empty line, id = zero-padded physical line number). A directory id that
 holds a tab or line break, or is not valid UTF-8, is refused: an id is one
-field of a tab-separated, line-oriented UTF-8 score record. A directory's
+field of a tab-separated, line-oriented UTF-8 score record. A directory that
+cannot be listed is an I/O error, not an empty part of the corpus. Symlinks
+to files are documents; symlinked directories are not descended. A directory's
 documents are ordered ascending by id, a line file's by line and an in-memory
 corpus's by text, so downstream statistics are reproducible. A Document is
 equal only to itself, so two documents with the same fields are still two
@@ -22,9 +25,11 @@ documents, each with its own match memo entry.
 
 from __future__ import annotations
 
+import os
 import re
 import string
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
 
 from . import records
@@ -35,10 +40,10 @@ from .errors import InputOutputError, ValidationError
 # on its own joined output even when lowercasing expands a character into a
 # base letter plus combining marks.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# Every ASCII character but [a-z0-9] becomes a space, so str.split() yields
-# exactly _WORD_RE's tokens of lowercased ASCII text.
-_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128))
-                                   if c not in string.ascii_lowercase + string.digits})
+# A bytes.translate table over UTF-8: every ASCII byte but [a-z0-9] becomes a
+# space. Bytes >= 0x80 stay, so no multibyte character is ever split.
+_SEPARATORS = bytes(b if b >= 0x80 or chr(b) in string.ascii_lowercase + string.digits else 0x20
+                    for b in range(256))
 _BAD_ID = re.compile(r"[\t\n\r\ud800-\udfff]")  # a non-UTF-8 name byte decodes to a surrogate
 
 
@@ -50,10 +55,30 @@ def tokenize(raw_text: str) -> list[str]:
     >>> tokenize("")
     []
     """
+    # Lower the whole text first: final sigma and İ depend on their context.
     lowered = raw_text.lower()
+    # surrogatepass: a lone surrogate survives the round trip as a character
+    # that is not alphanumeric, so the fix-up below splits at it.
+    words = (lowered.encode("utf-8", "surrogatepass").translate(_SEPARATORS)
+             .decode("utf-8", "surrogatepass").split())
     if lowered.isascii():
-        return lowered.translate(_ASCII_SEPARATORS).split()
-    return _WORD_RE.findall(lowered)
+        return words
+    # str.split() cuts only at whitespace, which is never alphanumeric, and
+    # str.isalnum() accepts exactly the characters [^\W_] does: a word that
+    # isalnum() is one token. The others still hold a non-ASCII separator and
+    # are re-split by the regex, in place. words.index finds the failing word
+    # itself: an equal word between start and it would have failed before it.
+    tokens = []
+    start = 0
+    for word in filterfalse(str.isalnum, words):
+        i = words.index(word, start)
+        tokens += words[start:i]
+        tokens += _WORD_RE.findall(word)
+        start = i + 1
+    if not start:
+        return words
+    tokens += words[start:]
+    return tokens
 
 
 # eq=False: a Document compares and hashes by identity, so a match memo keyed
@@ -93,6 +118,11 @@ def corpus_from_texts(texts, source: str = "<memory>") -> Corpus:
                   source=source)
 
 
+def _refuse_directory(exc: OSError):
+    """os.walk's error hook: a directory that cannot be listed stops the load."""
+    raise InputOutputError(f"cannot read {exc.filename}: {exc.strerror or exc}") from exc
+
+
 def load_corpus(source) -> Corpus:
     """Load a corpus from a directory or a line-delimited file.
 
@@ -106,20 +136,23 @@ def load_corpus(source) -> Corpus:
         raise InputOutputError(f"cannot read {path}: no such file or directory")
 
     if path.is_dir():
-        try:
-            files = [p for p in sorted(path.rglob("*")) if p.is_file()]
-        except OSError as exc:
-            raise InputOutputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        root = os.fspath(path)
+        files = {}  # id -> path
+        for dirpath, _, names in os.walk(root, onerror=_refuse_directory):
+            rel = os.path.relpath(dirpath, root)
+            prefix = "" if rel == os.curdir else rel.replace(os.sep, "/") + "/"
+            for name in names:
+                full = os.path.join(dirpath, name)
+                if os.path.isfile(full):
+                    files[prefix + name] = full
         docs = []
-        for p in files:
-            doc_id = p.relative_to(path).as_posix()
+        for doc_id in sorted(files):
             if _BAD_ID.search(doc_id):
                 raise ValidationError(f"document {doc_id!r}: a file name holds a tab or "
                                       "line break, or is not valid UTF-8")
-            text = records.read_text(p, f"document {doc_id}")
+            text = records.read_text(files[doc_id], f"document {doc_id}")
             docs.append(Document.from_text(doc_id, text))
-        docs.sort(key=lambda d: d.id)
-        return Corpus(documents=tuple(docs), source=str(path))
+        return Corpus(documents=tuple(docs), source=root)
 
     # Decoded line by line, so a decode error names the document.
     docs = []

@@ -1,3 +1,5 @@
+import errno
+import os
 import random
 import sys
 from pathlib import Path
@@ -80,6 +82,19 @@ def write_corpus_dir(root: Path, texts: dict[str, str]) -> Path:
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(text, encoding="utf-8")
     return base
+
+
+def refuse_scandir(monkeypatch, refused: Path) -> None:
+    """Make os.scandir refuse one directory as an unreadable directory does.
+    Tests may run as root, where chmod cannot make one."""
+    scandir = os.scandir
+
+    def guarded(path="."):
+        if os.fspath(path) == os.fspath(refused):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", guarded)
 
 
 def write_lines_file(path: Path, lines: list[str]) -> Path:

@@ -5,7 +5,7 @@ import pytest
 from entropy_classifier.cli import main
 from entropy_classifier.model import load_model
 
-from conftest import write_corpus_dir, write_lines_file
+from conftest import refuse_scandir, write_corpus_dir, write_lines_file
 
 GLOSSARY = "# finance terms\ntax return\ninterest rate\ndividend\naudit\nportfolio\n"
 
@@ -169,6 +169,17 @@ class TestScore:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert repr("\udcff.txt") in captured.err
+
+    def test_unreadable_input_directory_exits_2(self, workspace, capsys, monkeypatch):
+        run_train(workspace)
+        corpus = write_corpus_dir(workspace / "in", {"a.txt": "audit", "sub/b.txt": "dividend"})
+        refuse_scandir(monkeypatch, corpus / "sub")
+        rc = main(["score", "--model", str(workspace / "model.txt"),
+                   "--glossary", str(workspace / "gloss.txt"), "--input", str(corpus)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(corpus / "sub") in captured.err
 
     def test_long_output_name(self, workspace):
         # 250 bytes fits NAME_MAX (255); the temp file beside it must fit too.

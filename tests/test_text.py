@@ -1,3 +1,6 @@
+import os
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from entropy_classifier.errors import InputOutputError, ValidationError
 from entropy_classifier.text import Document, corpus_from_texts, load_corpus, tokenize
 
-from conftest import loads_or_refuses, write_corpus_dir, write_lines_file
+from conftest import loads_or_refuses, refuse_scandir, write_corpus_dir, write_lines_file
 from oracles import naive_tokenize
 
 
@@ -34,8 +37,8 @@ class TestTokenize:
     def test_matches_character_scan_oracle(self, s):
         assert tokenize(s) == naive_tokenize(s)
 
-    # Lowercased all-ASCII text takes the translate-table path; the property
-    # above rarely draws such text.
+    # Lowercased all-ASCII text returns before the per-word fix-up; the
+    # property above rarely draws such text.
     @given(st.text(st.characters(max_codepoint=127), max_size=200))
     @settings(max_examples=300)
     def test_ascii_matches_character_scan_oracle(self, s):
@@ -45,10 +48,26 @@ class TestTokenize:
         "a\x1cb\x1dc\x1ed\x1fe",  # str.split() also splits on these
         "foo_bar__baz_",
         "\u212aelvin 5\u212a",  # Kelvin sign: not ASCII, but lowercases to ASCII "k"
-        "\u0130stanbul \u0130",  # lowercases to "i" plus a combining mark: regex path
-    ], ids=["file-separators", "underscores", "kelvin-sign", "dotted-capital-i"])
+        "\u0130stanbul \u0130",  # lowercases to "i" plus a combining mark
+        "a\ud800b",  # a lone surrogate separates, and must not fail to encode
+        "ΟΔΟΣ.ΑΒ",  # Σ before "." and a letter lowers to σ
+        "ΟΔΟΣ ΑΒ",  # final Σ lowers to ς
+        "«»—",  # a word that is only separators
+        "été",
+    ], ids=["file-separators", "underscores", "kelvin-sign", "dotted-capital-i", "lone-surrogate",
+            "medial-sigma", "final-sigma", "only-separators", "accented"])
     def test_fast_path_edge_cases_match_oracle(self, text):
         assert tokenize(text) == naive_tokenize(text)
+
+    # Words of letters, combining marks and separators that only the regex
+    # splits on, joined by spaces: the byte table leaves the non-ASCII
+    # separators inside words, and the fix-up must split them there.
+    @given(st.lists(st.text(string.ascii_letters + string.digits + "éßжΣς"
+                            "«»—’\u00a0\u2028\u3000_\u0301\u0307",
+                            min_size=1, max_size=12), max_size=30).map(" ".join))
+    @settings(max_examples=300)
+    def test_non_ascii_words_match_character_scan_oracle(self, s):
+        assert tokenize(s) == naive_tokenize(s)
 
     @given(st.text(max_size=200))
     @settings(max_examples=300)
@@ -82,6 +101,34 @@ class TestLoadCorpusDirectory:
         c = load_corpus(base)
         assert [d.id for d in c] == ["b.txt", "sub/a.txt"]
         assert c.documents[1].tokens == ("alpha", "doc")
+
+    def test_layout_and_order(self, tmp_path):
+        base = write_corpus_dir(tmp_path, {
+            "b.txt": "beta doc",
+            ".hidden": "dot doc",
+            "sub.txt": "sub doc",
+            "sub/deep/c.txt": "gamma doc",
+            "sub/a.txt": "alpha doc",
+        })
+        outside = write_corpus_dir(tmp_path / "elsewhere", {"x.txt": "outside doc"})
+        (base / "link.txt").symlink_to(outside / "x.txt")
+        (base / "linkdir").symlink_to(outside, target_is_directory=True)
+        (base / "broken").symlink_to(tmp_path / "missing")
+        os.mkfifo(base / "pipe")
+        c = load_corpus(base)
+        # A symlink to a file is a document; a symlinked directory is not
+        # descended; a broken symlink and a FIFO are not regular files.
+        assert [d.id for d in c] == [".hidden", "b.txt", "link.txt", "sub.txt",
+                                     "sub/a.txt", "sub/deep/c.txt"]
+        assert c.documents[2].tokens == ("outside", "doc")
+
+    @pytest.mark.parametrize("refused", ["corpus", "corpus/sub"], ids=["root", "subdirectory"])
+    def test_unreadable_directory_is_io_error(self, tmp_path, monkeypatch, refused):
+        base = write_corpus_dir(tmp_path, {"a.txt": "alpha doc", "sub/b.txt": "beta doc"})
+        refuse_scandir(monkeypatch, tmp_path / refused)
+        with pytest.raises(InputOutputError, match="cannot read .*Permission denied") as info:
+            load_corpus(base)
+        assert str(tmp_path / refused) in str(info.value)
 
     def test_invalid_utf8_names_document(self, tmp_path):
         base = tmp_path / "corpus"
