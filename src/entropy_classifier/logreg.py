@@ -2,10 +2,15 @@
 
 Features are length-normalized bag-of-words counts (token count divided by
 the document word count) over a vocabulary of tokens appearing in at least
-two training documents. Training is full-batch gradient descent on the mean
+two training documents. One vectorized pass builds a corpus's design matrix:
+featurize maps every token of the corpus to its feature id at once, and
+_design_matrix lays the ids out as CSR rows, adds up repeats and divides each
+row by its word count. Training is full-batch gradient descent on the mean
 logistic loss plus (l2/2)||w||^2 with the intercept unregularized: no
-shuffling, no adaptive rates, so identical inputs give identical weights
-bit for bit.
+shuffling, no adaptive rates, so identical inputs give identical weights bit
+for bit. Each epoch calls logistic_gradient and logistic_loss once; the loss
+at the new weights and the next epoch's gradient share one product X @ w
+(_EpochMatrix).
 
 A corpus is scored as one product, _design_matrix(docs) @ w + intercept, the
 same product training takes (lr_logit). A document is positive when its
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 from .calibration import threshold_for_scores
@@ -67,35 +73,43 @@ def build_vocabulary(docs) -> dict[str, int]:
     return {t: i for i, t in enumerate(kept)}
 
 
-def featurize(doc: Document, vocab: dict[str, int]) -> dict[int, float]:
-    """Sparse normalized term frequencies; OOV tokens dropped."""
-    if not doc.tokens:
-        return {}
-    counts: dict[int, int] = {}
-    for tok in doc.tokens:
-        fid = vocab.get(tok)
-        if fid is not None:
-            counts[fid] = counts.get(fid, 0) + 1
-    n = len(doc.tokens)
-    return {fid: c / n for fid, c in sorted(counts.items())}
+def featurize(docs, vocab: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(feature id of every token of the corpus in order, -1 when out of
+    vocabulary; each document's word count)."""
+    import numpy as np
+
+    docs = list(docs)
+    word_counts = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64,
+                              count=len(docs))
+    ids = np.fromiter(map(vocab.get, chain.from_iterable(doc.tokens for doc in docs),
+                          repeat(-1)),
+                      dtype=np.int32, count=int(word_counts.sum()))
+    return ids, word_counts
 
 
 def _design_matrix(docs, vocab: dict[str, int]) -> sparse.csr_matrix:
+    """Row i holds document i's normalized term frequencies: each in-vocabulary
+    token's count divided by the document's word count (out-of-vocabulary
+    tokens still count toward it), column indices sorted."""
     import numpy as np
     from scipy import sparse
 
-    data, indices, indptr = [], [], [0]
-    for doc in docs:
-        feats = featurize(doc, vocab)
-        indices.extend(feats.keys())
-        data.extend(feats.values())
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, len(vocab)),
+    ids, word_counts = featurize(docs, vocab)
+    known = ids >= 0
+    # known_before[t]: the in-vocabulary tokens among the corpus's first t.
+    known_before = np.zeros(len(ids) + 1, dtype=np.int32)
+    np.cumsum(known, out=known_before[1:])
+    starts = np.zeros(len(word_counts) + 1, dtype=np.int64)
+    np.cumsum(word_counts, out=starts[1:])
+    X = sparse.csr_matrix(
+        (np.ones(known_before[-1], dtype=np.int32), ids[known], known_before[starts]),
+        shape=(len(word_counts), len(vocab)),
     )
+    # Sorts each row's ids and adds up repeats, so data holds exact counts
+    # and the division below is the division c / n.
+    X.sum_duplicates()
+    X.data = X.data / np.repeat(word_counts, np.diff(X.indptr))
+    return X
 
 
 def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
@@ -132,6 +146,25 @@ def logistic_gradient(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
     return grad_w, grad_b
 
 
+class _EpochMatrix:
+    """train_lr's design matrix as logistic_loss and logistic_gradient use it:
+    X.T is transposed once, and the last product X @ w is kept for as long as
+    w is the same array. The loop binds a new w every epoch and never writes
+    into one, so the loss at w and the next epoch's gradient at w share one
+    product."""
+
+    def __init__(self, X: sparse.csr_matrix):
+        self._X = X
+        self.T = X.T.tocsr()
+        self._w = None
+        self._product = None
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        if w is not self._w:
+            self._w, self._product = w, self._X @ w
+        return self._product
+
+
 def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()) -> LrModel:
     """Full-batch gradient descent from zero weights for a fixed epoch count.
 
@@ -155,7 +188,7 @@ def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()
         np.zeros(len(negatives), dtype=np.float64),
     ])
     vocab = build_vocabulary(docs)
-    X = _design_matrix(docs, vocab)
+    X = _EpochMatrix(_design_matrix(docs, vocab))
     w = np.zeros(len(vocab), dtype=np.float64)
     intercept = 0.0
     with np.errstate(over="ignore", invalid="ignore"):

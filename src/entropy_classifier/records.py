@@ -28,7 +28,8 @@ _RECORD = re.compile(r"(\S*)(?:\s(.*))?", re.DOTALL)
 
 def read_bytes(path) -> bytes:
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return f.read()
     except OSError as exc:
         raise InputOutputError(f"cannot read {Path(path)}: {exc.strerror or exc}") from exc
 

@@ -105,6 +105,16 @@ def numeric_gradient(f, w, h: float = 1e-5):
     return grad
 
 
+def naive_featurize(tokens, vocab: dict[str, int]) -> dict[int, float]:
+    """One document's in-vocabulary token counts divided by its word count
+    (out-of-vocabulary tokens included), keyed by ascending feature id."""
+    counts: dict[int, int] = {}
+    for tok in tokens:
+        if tok in vocab:
+            counts[vocab[tok]] = counts.get(vocab[tok], 0) + 1
+    return {fid: counts[fid] / len(tokens) for fid in sorted(counts)}
+
+
 def naive_logit(weights, intercept: float, features: dict[int, float]) -> float:
     """w . x + intercept for one document's sparse features, summed left to
     right in ascending feature id order from 0.0."""

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -15,7 +15,6 @@ from entropy_classifier.logreg import (
     _design_matrix,
     build_vocabulary,
     calibrate_lr_threshold,
-    featurize,
     logistic_gradient,
     logistic_loss,
     lr_decision,
@@ -25,7 +24,7 @@ from entropy_classifier.logreg import (
 )
 from entropy_classifier.text import Document, corpus_from_texts
 
-from oracles import naive_logit, numeric_gradient
+from oracles import naive_featurize, naive_logit, numeric_gradient
 
 
 def toy_problem(rng, n_samples=12, n_features=5):
@@ -38,6 +37,31 @@ def toy_problem(rng, n_samples=12, n_features=5):
     intercept = rng.uniform(-2, 2)
     l2 = rng.choice([0.0, 1e-4, 1e-2, 0.5])
     return X, y, w, intercept, l2
+
+
+def design_row(doc, vocab):
+    """The package's features of one document, as {feature id: value}."""
+    X = _design_matrix([doc], vocab)
+    return dict(zip(X.indices.tolist(), X.data.tolist()))
+
+
+def train_lr_reference(positives, negatives, params):
+    """train_lr's descent written out: the public loss and gradient on the
+    bare CSR matrix, nothing kept between calls. (weights, None), or
+    (None, the epoch whose loss was first not finite)."""
+    docs = list(positives) + list(negatives)
+    y = np.array([1.0] * len(positives) + [0.0] * len(negatives))
+    X = _design_matrix(docs, build_vocabulary(docs))
+    w = np.zeros(X.shape[1])
+    intercept = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(params.epochs):
+            grad_w, grad_b = logistic_gradient(w, intercept, X, y, params.l2)
+            w = w - params.learning_rate * grad_w
+            intercept = intercept - params.learning_rate * grad_b
+            if not math.isfinite(logistic_loss(w, intercept, X, y, params.l2)):
+                return None, epoch + 1
+    return np.append(w, intercept), None
 
 
 def make_training_corpora():
@@ -70,15 +94,42 @@ class TestFeatures:
     def test_featurize_normalizes_by_word_count(self):
         vocab = {"a": 0, "b": 1}
         doc = Document.from_text("d", "a a b c")
-        assert featurize(doc, vocab) == {0: 2 / 4, 1: 1 / 4}
+        assert naive_featurize(doc.tokens, vocab) == {0: 2 / 4, 1: 1 / 4}
+        assert design_row(doc, vocab) == {0: 2 / 4, 1: 1 / 4}
 
     def test_featurize_empty_doc(self):
-        assert featurize(Document.from_text("d", "!!!"), {"a": 0}) == {}
+        doc = Document.from_text("d", "!!!")
+        assert naive_featurize(doc.tokens, {"a": 0}) == {}
+        assert design_row(doc, {"a": 0}) == {}
 
     def test_oov_tokens_dropped_but_still_normalize(self):
         vocab = {"a": 0}
         doc = Document.from_text("d", "a z z z")
-        assert featurize(doc, vocab) == {0: 1 / 4}
+        assert naive_featurize(doc.tokens, vocab) == {0: 1 / 4}
+        assert design_row(doc, vocab) == {0: 1 / 4}
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.sampled_from("abcdef"), unique=True),
+           texts=st.lists(st.lists(st.sampled_from("abcdefz"), max_size=30), max_size=8))
+    @example(words=[], texts=[])
+    @example(words=["a"], texts=[])
+    @example(words=[], texts=[["a", "b"], []])
+    @example(words=["c", "a"], texts=[[], ["z", "z"], ["a", "c", "a", "z", "a"]])
+    def test_design_matrix_equals_rows_of_the_oracle(self, words, texts):
+        # Feature ids in arbitrary token order, so the rows must be sorted.
+        vocab = {t: i for i, t in enumerate(words)}
+        docs = [Document.from_text(f"d{i}", " ".join(t)) for i, t in enumerate(texts)]
+        indptr, indices, data = [0], [], []
+        for doc in docs:
+            row = naive_featurize(doc.tokens, vocab)
+            indices.extend(row)
+            data.extend(row.values())
+            indptr.append(len(indices))
+        X = _design_matrix(docs, vocab)
+        assert X.shape == (len(docs), len(vocab))
+        assert X.indptr.tolist() == indptr
+        assert X.indices.tolist() == indices
+        assert [v.hex() for v in X.data.tolist()] == [v.hex() for v in data]
 
 
 class TestLossAndGradient:
@@ -147,12 +198,30 @@ class TestTrainLr:
         assert m1.vocabulary == m2.vocabulary
         assert np.array_equal(m1.weights, m2.weights)
 
+    @pytest.mark.parametrize("params", [
+        LrParams(),
+        LrParams(epochs=0),
+        LrParams(epochs=1),
+        LrParams(l2=0.0, epochs=40, learning_rate=4.0),
+        LrParams(l2=0.3, epochs=25, learning_rate=0.05),
+    ])
+    def test_weights_equal_the_plain_loop(self, params):
+        # train_lr shares one X @ w between an epoch's loss and the next
+        # gradient; a stale product would change the weights.
+        pos, neg = make_training_corpora()
+        want, diverged = train_lr_reference(pos, neg, params)
+        assert diverged is None
+        assert np.array_equal(train_lr(pos, neg, params).weights, want)
+
     def test_divergence_reported(self):
         # rate * l2 >> 2 makes the weight-decay step oscillate with
         # exponentially growing amplitude until the penalty overflows
         pos, neg = make_training_corpora()
-        with pytest.raises(ValidationError, match="LR training diverged at epoch"):
-            train_lr(pos, neg, LrParams(l2=1.0, epochs=200, learning_rate=1e9))
+        params = LrParams(l2=1.0, epochs=200, learning_rate=1e9)
+        _, epoch = train_lr_reference(pos, neg, params)
+        assert epoch is not None
+        with pytest.raises(ValidationError, match=rf"LR training diverged at epoch {epoch} \("):
+            train_lr(pos, neg, params)
 
     @pytest.mark.parametrize("name,value", [
         ("l2", -1e-4), ("l2", math.nan), ("l2", math.inf),
@@ -189,7 +258,8 @@ class TestLogit:
         model = LrModel(vocabulary=vocab, weights=np.array(weights))
         docs = [Document.from_text(f"d{i}", text) for i, text in enumerate(texts)]
         got = lr_logit(model, docs)
-        want = [naive_logit(model.weights, model.intercept, featurize(d, vocab)) for d in docs]
+        want = [naive_logit(model.weights, model.intercept, naive_featurize(d.tokens, vocab))
+                for d in docs]
         assert [z.hex() for z in got] == [z.hex() for z in want]
 
 

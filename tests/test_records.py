@@ -23,6 +23,19 @@ class TestParse:
         assert records.parse("  k 25") == [(1, "", " k 25")]
 
 
+class TestRead:
+    @pytest.mark.parametrize("name,reason", [
+        ("missing.txt", "No such file or directory"),
+        ("d", "Is a directory"),
+    ])
+    def test_unreadable_path_is_io_error_naming_it(self, tmp_path, name, reason):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(InputOutputError) as info:
+            records.read_bytes(str(tmp_path / name))
+        assert str(info.value) == f"cannot read {tmp_path / name}: {reason}"
+        assert info.value.exit_code == 2
+
+
 class TestWrite:
     def test_newline_in_value_rejected_before_writing(self, tmp_path):
         with pytest.raises(ValidationError, match="newline"):
