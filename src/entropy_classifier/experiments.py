@@ -9,8 +9,10 @@ Experiment 2 contrasts robustness under distribution shift: a logistic
 regression trained on half of each category's A corpus (background corpus as
 the negative class) against the knowledge-based model, both calibrated to the
 same FPR target, evaluated on A's held-out half and on the disjoint B corpus.
-The comparison metric is the fractional change of recall from A to B. Each
-row's FPR on the negatives is the one calibration achieved: calibrate_fpr and
+The comparison metric is the fractional change of recall from A to B. The
+LR encodes the background and the negatives once (logreg._encode), and every
+category's train_lr and calibrate_lr_threshold share them. Each row's FPR on
+the negatives is the one calibration achieved: calibrate_fpr and
 calibrate_lr_threshold each return (thresholded model, achieved FPR), so no
 classifier scores the negatives twice.
 
@@ -37,7 +39,7 @@ from .background import train
 from .calibration import calibrate_fpr
 from .errors import ValidationError
 from .glossary import Glossary
-from .logreg import LrParams, calibrate_lr_threshold, lr_logit, train_lr
+from .logreg import LrParams, _encode, calibrate_lr_threshold, lr_logit, train_lr
 from .model import BackgroundModel
 from .records import format_float
 from .scoring import standardized_scores
@@ -216,12 +218,13 @@ def run_experiment2(config: ExperimentConfig) -> EvalReport:
     warnings: list[str] = []
     rows: dict[str, CategoryEval] = {}
     changes: dict[str, list[float]] = {"lr": [], "kb": []}
+    background, negatives = _encode(config.background), _encode(config.negatives)
     for spec in config.categories:
         a_train, a_eval = split_alternating(spec.positives)
         corpus_b = spec.positives_b
         kb, kb_fpr = _calibrated_kb(spec, config)
-        lr, lr_fpr = calibrate_lr_threshold(train_lr(a_train, config.background, config.lr),
-                                            config.negatives, config.target_fpr)
+        lr, lr_fpr = calibrate_lr_threshold(train_lr(a_train, background, config.lr),
+                                            negatives, config.target_fpr)
         lr_ra, lr_rb = (recall(lr_logit(lr, c), lr.threshold_bias) for c in (a_eval, corpus_b))
         kb_ra, kb_rb = (_kb_recall(kb, spec.glossary, c) for c in (a_eval, corpus_b))
         for label, ra, rb, fpr in (("lr", lr_ra, lr_rb, lr_fpr), ("kb", kb_ra, kb_rb, kb_fpr)):

@@ -2,15 +2,19 @@
 
 Features are length-normalized bag-of-words counts (token count divided by
 the document word count) over a vocabulary of tokens appearing in at least
-two training documents. One vectorized pass builds a corpus's design matrix:
-featurize maps every token of the corpus to its feature id at once, and
-_design_matrix lays the ids out as CSR rows, adds up repeats and divides each
-row by its word count. Training is full-batch gradient descent on the mean
-logistic loss plus (l2/2)||w||^2 with the intercept unregularized: no
+two training documents. A corpus is encoded once (_encode): the sorted table
+of its distinct tokens and, through featurize, a CSR matrix of each
+document's exact count of each table token, whose entries also give the df.
+exp2 encodes its background and negatives once and passes them in; a plain
+corpus is encoded on the way in. build_vocabulary adds up the dfs of its
+corpora, and _design_matrix remaps the table ids to feature ids and divides
+each row by its word count. Training is full-batch gradient descent on the
+mean logistic loss plus (l2/2)||w||^2 with the intercept unregularized: no
 shuffling, no adaptive rates, so identical inputs give identical weights bit
 for bit. Each epoch calls logistic_gradient and logistic_loss once; the loss
 at the new weights and the next epoch's gradient share one product X @ w
-(_EpochMatrix).
+(_EpochMatrix). The loss takes one logaddexp per row, its sign set by the
+0/1 label, and the sigmoid one exp(-|z|).
 
 A corpus is scored as one product, _design_matrix(docs) @ w + intercept, the
 same product training takes (lr_logit). A document is positive when its
@@ -63,13 +67,51 @@ class LrParams:
     learning_rate: float = 0.5
 
 
-def build_vocabulary(docs) -> dict[str, int]:
-    """Tokens present in >= MIN_DF training documents, ids in sorted order."""
+@dataclass(frozen=True, eq=False)
+class _Encoded:
+    """A corpus encoded once: its distinct tokens in sorted order, row i's
+    count of each (column = table id, sorted), and each row's word count."""
+
+    table: list[str]
+    counts: sparse.csr_matrix
+    word_counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.word_counts)
+
+
+def _encode(docs) -> _Encoded:
+    """docs encoded, or docs itself when it already is."""
+    import numpy as np
+    from scipy import sparse
+
+    if isinstance(docs, _Encoded):
+        return docs
+    docs = list(docs)
+    table = sorted(set(chain.from_iterable(doc.tokens for doc in docs)))
+    ids, word_counts = featurize(docs, dict(zip(table, range(len(table)))))
+    starts = np.concatenate([[0], np.cumsum(word_counts)])
+    counts = sparse.csr_matrix((np.ones(len(ids), dtype=np.int32), ids, starts),
+                               shape=(len(word_counts), len(table)))
+    # One sort of the (document, id) keys; adding up repeats gives exact counts,
+    # kept in the smallest unsigned type that holds them.
+    counts.sum_duplicates()
+    counts.data = counts.data.astype(np.min_scalar_type(counts.data.max(initial=0)))
+    return _Encoded(table, counts, word_counts)
+
+
+def build_vocabulary(*corpora) -> dict[str, int]:
+    """Tokens present in >= MIN_DF documents of the corpora together, ids in
+    sorted order."""
+    import numpy as np
+
     df: dict[str, int] = {}
-    for doc in docs:
-        for tok in set(doc.tokens):
-            df[tok] = df.get(tok, 0) + 1
-    kept = sorted(t for t, c in df.items() if c >= MIN_DF)
+    for corpus in map(_encode, corpora):
+        # Each (document, token) pair is one entry of the count matrix.
+        for tok, n in zip(corpus.table, np.bincount(corpus.counts.indices,
+                                                    minlength=len(corpus.table)).tolist()):
+            df[tok] = df.get(tok, 0) + n
+    kept = sorted(t for t, n in df.items() if n >= MIN_DF)
     return {t: i for i, t in enumerate(kept)}
 
 
@@ -94,44 +136,39 @@ def _design_matrix(docs, vocab: dict[str, int]) -> sparse.csr_matrix:
     import numpy as np
     from scipy import sparse
 
-    ids, word_counts = featurize(docs, vocab)
-    known = ids >= 0
-    # known_before[t]: the in-vocabulary tokens among the corpus's first t.
-    known_before = np.zeros(len(ids) + 1, dtype=np.int32)
-    np.cumsum(known, out=known_before[1:])
-    starts = np.zeros(len(word_counts) + 1, dtype=np.int64)
-    np.cumsum(word_counts, out=starts[1:])
-    X = sparse.csr_matrix(
-        (np.ones(known_before[-1], dtype=np.int32), ids[known], known_before[starts]),
-        shape=(len(word_counts), len(vocab)),
-    )
-    # Sorts each row's ids and adds up repeats, so data holds exact counts
-    # and the division below is the division c / n.
-    X.sum_duplicates()
-    X.data = X.data / np.repeat(word_counts, np.diff(X.indptr))
+    corpus = _encode(docs)
+    # The table ids remapped to feature ids, -1 when out of vocabulary.
+    columns = np.fromiter(map(vocab.get, corpus.table, repeat(-1)), dtype=np.int32,
+                          count=len(corpus.table))[corpus.counts.indices]
+    known = columns >= 0
+    # Row i ends after the in-vocabulary entries among the counts' first indptr[i].
+    indptr = np.concatenate([[0], np.cumsum(known)])[corpus.counts.indptr]
+    # Exact counts, so this is the division c / n.
+    data = corpus.counts.data[known] / np.repeat(corpus.word_counts, np.diff(indptr))
+    X = sparse.csr_matrix((data, columns[known], indptr), shape=(len(corpus), len(vocab)))
+    # A no-op check when the ids follow the sorted table, as build_vocabulary's do.
+    X.sort_indices()
     return X
 
 
 def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: e never overflows.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_loss(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
                   y: np.ndarray, l2: float) -> float:
-    """Mean logistic loss + (l2/2)||w||^2, intercept excluded from the penalty."""
+    """Mean logistic loss (0/1 labels y) + (l2/2)||w||^2, intercept unpenalized."""
     import numpy as np
 
     z = X @ w + intercept
-    # log(1 + e^-z) and log(1 + e^z) via logaddexp for overflow safety
-    per_sample = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
-    return float(np.mean(per_sample) + 0.5 * l2 * float(w @ w))
+    # log(1 + e^-z) where y = 1 and log(1 + e^z) where y = 0, overflow-safe
+    per_sample = np.logaddexp(0.0, (1.0 - 2.0 * y) * z)
+    # sum / n is np.mean's arithmetic without its per-call overhead.
+    return float(per_sample.sum() / len(y) + 0.5 * l2 * float(w @ w))
 
 
 def logistic_gradient(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
@@ -142,7 +179,7 @@ def logistic_gradient(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
     z = X @ w + intercept
     residual = _sigmoid_vec(z) - y
     grad_w = (X.T @ residual) / len(y) + l2 * w
-    grad_b = float(np.mean(residual))
+    grad_b = float(residual.sum() / len(y))
     return grad_w, grad_b
 
 
@@ -156,8 +193,7 @@ class _EpochMatrix:
     def __init__(self, X: sparse.csr_matrix):
         self._X = X
         self.T = X.T.tocsr()
-        self._w = None
-        self._product = None
+        self._w = self._product = None
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         if w is not self._w:
@@ -172,6 +208,7 @@ def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()
     ValidationError, when its loss is no longer finite.
     """
     import numpy as np
+    from scipy import sparse
 
     if len(positives) == 0 or len(negatives) == 0:
         raise ValidationError("LR training needs non-empty positive and negative corpora")
@@ -182,13 +219,11 @@ def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()
         # A negative rate would climb the loss; nan/inf only diverge.
         if not (math.isfinite(value) and value >= 0):
             raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-    docs = list(positives) + list(negatives)
-    y = np.concatenate([
-        np.ones(len(positives), dtype=np.float64),
-        np.zeros(len(negatives), dtype=np.float64),
-    ])
-    vocab = build_vocabulary(docs)
-    X = _EpochMatrix(_design_matrix(docs, vocab))
+    positives, negatives = _encode(positives), _encode(negatives)
+    y = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
+    vocab = build_vocabulary(positives, negatives)
+    X = _EpochMatrix(sparse.vstack([_design_matrix(positives, vocab),
+                                    _design_matrix(negatives, vocab)], format="csr"))
     w = np.zeros(len(vocab), dtype=np.float64)
     intercept = 0.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -2,12 +2,16 @@
 
 Everything here is written directly from the defining formulas with plain
 loops, deliberately sharing no code with the package, so agreement between
-the two is evidence rather than tautology.
+the two is evidence rather than tautology. The two LR kernel references
+(two_branch_sigmoid, two_term_logistic_loss) are the textbook numpy forms
+instead, so that the package's shorter kernels can be held to them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def naive_tokenize(raw_text: str) -> list[str]:
@@ -130,3 +134,21 @@ def naive_mean_std(values) -> tuple[float, float]:
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / n
     return mean, math.sqrt(var)
+
+
+def two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) on the elements where z >= 0, e^z / (1 + e^z) on the
+    rest (nan among them), each branch evaluated on its own elements only."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def two_term_logistic_loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
+    """Mean of y*log(1 + e^-z) + (1 - y)*log(1 + e^z) over the rows, plus
+    (l2/2)||w||^2: both terms on every row, whatever its label."""
+    per_sample = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
+    return float(np.mean(per_sample) + 0.5 * l2 * float(w @ w))

@@ -1,3 +1,7 @@
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +25,7 @@ from entropy_classifier.experiments import (
 from entropy_classifier.glossary import make_glossary
 from entropy_classifier.logreg import calibrate_lr_threshold, lr_measure_fpr, train_lr
 from entropy_classifier.synthetic import SuiteParams, build_suite
-from entropy_classifier.text import corpus_from_texts
+from entropy_classifier.text import Corpus, Document, corpus_from_texts
 
 from conftest import count_match_calls, loads_or_refuses, mutations, write_lines_file
 
@@ -148,6 +152,52 @@ class TestExperiment2:
             lr = train_lr(split_alternating(spec.positives)[0], cfg.background, cfg.lr)
             lr, _ = calibrate_lr_threshold(lr, cfg.negatives, cfg.target_fpr)
             assert report.per_category[f"{spec.name}/lr"].fpr_a == lr_measure_fpr(lr, cfg.negatives)
+
+    def test_lr_on_the_shared_encodings_equals_the_public_path(self, monkeypatch):
+        # exp2 encodes the background and the negatives once for all
+        # categories; each category's LR must come out as train_lr and
+        # calibrate_lr_threshold give it on the plain corpora.
+        def prepend(corpus, texts):
+            docs = tuple(Document.from_text(f"x{i}", t) for i, t in enumerate(texts))
+            return Corpus(documents=docs + corpus.documents, source=corpus.source)
+
+        cfg = tiny_config()
+        # zzbridge: one background and one training document, so it reaches
+        # MIN_DF only counted together; zzposonly: two training documents and
+        # no background one; zzonce: one background document; and a document
+        # with no tokens in every corpus. A's even positions train.
+        positives_head = ["zzposonly zzbridge", "held", "zzposonly", "held", "!!!", "held"]
+        cfg = replace(
+            cfg,
+            background=prepend(cfg.background, ["zzbridge zzonce", "!!!"]),
+            negatives=prepend(cfg.negatives, ["", "zzposonly zzbridge zzonce"]),
+            categories=tuple(replace(spec, positives=prepend(spec.positives, positives_head))
+                             for spec in cfg.categories),
+        )
+        calibrated, shared = [], []
+
+        def record(model, negatives, target_fpr):
+            shared.append(negatives)
+            calibrated.append(calibrate_lr_threshold(model, negatives, target_fpr))
+            return calibrated[-1]
+
+        monkeypatch.setattr(experiments, "calibrate_lr_threshold", record)
+        report = run_experiment2(cfg)
+        assert len(calibrated) == len(cfg.categories)
+        # One encoding of the negatives, handed to every category.
+        assert shared[0] is not cfg.negatives and all(n is shared[0] for n in shared)
+        for spec, (got, got_fpr) in zip(cfg.categories, calibrated):
+            a_train = split_alternating(spec.positives)[0]
+            want, want_fpr = calibrate_lr_threshold(train_lr(a_train, cfg.background, cfg.lr),
+                                                    cfg.negatives, cfg.target_fpr)
+            assert got.vocabulary == want.vocabulary
+            assert np.array_equal(got.weights, want.weights)
+            assert (got.threshold_bias, got_fpr) == (want.threshold_bias, want_fpr)
+            assert report.per_category[f"{spec.name}/lr"].fpr_a == want_fpr
+            df = Counter(tok for doc in (*a_train, *cfg.background) for tok in set(doc.tokens))
+            kept = sorted(tok for tok, n in df.items() if n >= logreg.MIN_DF)
+            assert want.vocabulary == {tok: i for i, tok in enumerate(kept)}
+            assert {"zzbridge", "zzposonly"} <= set(kept) and "zzonce" not in kept
 
     def test_measures_no_fpr_after_calibration(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -13,6 +13,7 @@ from entropy_classifier.logreg import (
     LrModel,
     LrParams,
     _design_matrix,
+    _sigmoid_vec,
     build_vocabulary,
     calibrate_lr_threshold,
     logistic_gradient,
@@ -24,7 +25,13 @@ from entropy_classifier.logreg import (
 )
 from entropy_classifier.text import Document, corpus_from_texts
 
-from oracles import naive_featurize, naive_logit, numeric_gradient
+from oracles import (
+    naive_featurize,
+    naive_logit,
+    numeric_gradient,
+    two_branch_sigmoid,
+    two_term_logistic_loss,
+)
 
 
 def toy_problem(rng, n_samples=12, n_features=5):
@@ -46,9 +53,10 @@ def design_row(doc, vocab):
 
 
 def train_lr_reference(positives, negatives, params):
-    """train_lr's descent written out: the public loss and gradient on the
-    bare CSR matrix, nothing kept between calls. (weights, None), or
-    (None, the epoch whose loss was first not finite)."""
+    """train_lr's descent written out: the public gradient on the bare CSR
+    matrix, nothing kept between calls, and the two-term loss of the oracle
+    deciding divergence. (weights, None), or (None, the epoch whose loss was
+    first not finite)."""
     docs = list(positives) + list(negatives)
     y = np.array([1.0] * len(positives) + [0.0] * len(negatives))
     X = _design_matrix(docs, build_vocabulary(docs))
@@ -59,7 +67,7 @@ def train_lr_reference(positives, negatives, params):
             grad_w, grad_b = logistic_gradient(w, intercept, X, y, params.l2)
             w = w - params.learning_rate * grad_w
             intercept = intercept - params.learning_rate * grad_b
-            if not math.isfinite(logistic_loss(w, intercept, X, y, params.l2)):
+            if not math.isfinite(two_term_logistic_loss(X @ w + intercept, y, w, params.l2)):
                 return None, epoch + 1
     return np.append(w, intercept), None
 
@@ -115,6 +123,7 @@ class TestFeatures:
     @example(words=["a"], texts=[])
     @example(words=[], texts=[["a", "b"], []])
     @example(words=["c", "a"], texts=[[], ["z", "z"], ["a", "c", "a", "z", "a"]])
+    @example(words=["a"], texts=[["a"] * 300 + ["z"]])
     def test_design_matrix_equals_rows_of_the_oracle(self, words, texts):
         # Feature ids in arbitrary token order, so the rows must be sorted.
         vocab = {t: i for i, t in enumerate(words)}
@@ -170,6 +179,43 @@ class TestLossAndGradient:
         assert loss == pytest.approx(2000.0, rel=1e-12)
 
 
+SCALES = [10.0 ** k for k in range(-300, 301, 15)]
+
+
+class TestKernelsEqualTheirReferenceForms:
+    def test_sigmoid_equals_the_two_branch_form(self):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            [math.inf, -math.inf, math.nan, 0.0, -0.0],
+            *(rng.standard_normal(50) * scale for scale in SCALES),
+        ])
+        got, want = _sigmoid_vec(z), two_branch_sigmoid(z)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        # Bit for bit wherever a number comes out (a nan's sign means nothing).
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e30, 1e150, 1e300])
+    def test_loss_equals_the_two_term_form(self, scale):
+        # Exact for 0/1 labels and finite logits: each row's other term is
+        # 0 * (a finite logaddexp), which adds exactly zero.
+        rng = np.random.default_rng(int(math.log10(scale)) + 400)
+        for _ in range(20):
+            n_rows, n_features = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+            X = sparse.random(n_rows, n_features, density=0.6, format="csr", rng=rng,
+                              data_rvs=lambda n: rng.uniform(-1, 1, n))
+            y = rng.permutation(np.arange(n_rows) % 2).astype(np.float64)
+            w = rng.standard_normal(n_features) * scale
+            intercept = float(rng.standard_normal() * scale)
+            l2 = float(rng.choice([0.0, 1e-4, 0.5]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = logistic_loss(w, intercept, X, y, l2)
+                z = X @ w + intercept
+                want = two_term_logistic_loss(z, y, w, l2)
+            assert np.isfinite(z).all()
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 class TestTrainLr:
     def test_learns_separable_toy(self):
         pos, neg = make_training_corpora()
@@ -214,14 +260,23 @@ class TestTrainLr:
         assert np.array_equal(train_lr(pos, neg, params).weights, want)
 
     def test_divergence_reported(self):
-        # rate * l2 >> 2 makes the weight-decay step oscillate with
-        # exponentially growing amplitude until the penalty overflows
+        # The one-logaddexp loss must stop being finite at the epoch where the
+        # two-term form does.
         pos, neg = make_training_corpora()
-        params = LrParams(l2=1.0, epochs=200, learning_rate=1e9)
-        _, epoch = train_lr_reference(pos, neg, params)
-        assert epoch is not None
-        with pytest.raises(ValidationError, match=rf"LR training diverged at epoch {epoch} \("):
-            train_lr(pos, neg, params)
+        for params in [
+            # rate * l2 >> 2 makes the weight-decay step oscillate with
+            # exponentially growing amplitude until the penalty overflows
+            LrParams(l2=1.0, epochs=200, learning_rate=1e9),
+            # no penalty: the first step's weights overflow w @ w, and 0 * inf is nan
+            LrParams(l2=0.0, epochs=200, learning_rate=1e160),
+            LrParams(l2=0.0, epochs=200, learning_rate=1e300),
+            LrParams(l2=1e-4, epochs=200, learning_rate=1e200),
+        ]:
+            _, epoch = train_lr_reference(pos, neg, params)
+            assert epoch is not None
+            with pytest.raises(ValidationError,
+                               match=rf"LR training diverged at epoch {epoch} \("):
+                train_lr(pos, neg, params)
 
     @pytest.mark.parametrize("name,value", [
         ("l2", -1e-4), ("l2", math.nan), ("l2", math.inf),
