@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .glossary import Glossary, match_document
+from .glossary import Glossary, match_corpus
 from .model import BackgroundModel, check_k, idf_from_df
 from .scoring import _score_profile
 from .text import Corpus
@@ -22,8 +22,8 @@ def compute_df(glossary: Glossary, corpus: Corpus) -> tuple[int, dict[int, int]]
     if len(corpus) == 0:
         raise ValidationError("background corpus must be non-empty")
     df = {kid: 0 for kid in range(len(glossary.phrases))}
-    for doc in corpus:
-        for kid in match_document(glossary, doc).tf:
+    for _, profile in match_corpus(glossary, corpus):
+        for kid in profile.tf:
             df[kid] += 1
     return len(corpus), df
 
@@ -34,9 +34,8 @@ def fit_standardization(glossary: Glossary, idf: dict[int, float], k: int,
     over the background corpus, accumulated in corpus order."""
     if len(corpus) == 0:
         raise ValidationError("background corpus must be non-empty")
-    scores = [_score_profile(match_document(glossary, doc), len(doc.tokens), idf, k,
-                             entropy_weighted)[-1]
-              for doc in corpus]
+    scores = [_score_profile(profile, word_count, idf, k, entropy_weighted)[-1]
+              for word_count, profile in match_corpus(glossary, corpus)]
     n = len(scores)
     mu = math.fsum(scores) / n
     sigma = math.sqrt(math.fsum((s - mu) ** 2 for s in scores) / n)

@@ -9,8 +9,11 @@ Experiment 2 contrasts robustness under distribution shift: a logistic
 regression trained on half of each category's A corpus (background corpus as
 the negative class) against the knowledge-based model, both calibrated to the
 same FPR target, evaluated on A's held-out half and on the disjoint B corpus.
-The comparison metric is the fractional change of recall from A to B. The
-LR encodes the background and the negatives once (logreg._encode), and every
+The comparison metric is the fractional change of recall from A to B.
+
+Both experiments match the background and the negatives for every category
+in one pass (glossary._match_corpora) before any model is trained. The LR
+encodes the background and the negatives once (logreg._encode), and every
 category's train_lr and calibrate_lr_threshold share them. Each row's FPR on
 the negatives is the one calibration achieved: calibrate_fpr and
 calibrate_lr_threshold each return (thresholded model, achieved FPR), so no
@@ -38,7 +41,7 @@ from . import records
 from .background import train
 from .calibration import calibrate_fpr
 from .errors import ValidationError
-from .glossary import Glossary
+from .glossary import Glossary, _match_corpora
 from .logreg import LrParams, _encode, calibrate_lr_threshold, lr_logit, train_lr
 from .model import BackgroundModel
 from .records import format_float
@@ -178,6 +181,8 @@ def _report(experiment: str, config: ExperimentConfig, rows: dict[str, CategoryE
 def run_experiment1(config: ExperimentConfig) -> EvalReport:
     """Entropy ablation at matched FPR; recall_a = ablation, recall_b = entropy."""
     _validate_config(config, need_b=False)
+    _match_corpora([s.glossary for s in config.categories], config.background,
+                   config.negatives)
     rows: dict[str, CategoryEval] = {}
     for spec in config.categories:
         plain, fpr_plain = _calibrated_kb(spec, config, entropy_weighted=False)
@@ -215,6 +220,8 @@ def run_experiment2(config: ExperimentConfig) -> EvalReport:
     """LR-vs-knowledge-based robustness; rows keyed '<category>/lr' and
     '<category>/kb'."""
     _validate_config(config, need_b=True)
+    _match_corpora([s.glossary for s in config.categories], config.background,
+                   config.negatives)
     warnings: list[str] = []
     rows: dict[str, CategoryEval] = {}
     changes: dict[str, list[float]] = {"lr": [], "kb": []}

@@ -15,11 +15,12 @@ root) and that the previous match did not consume; skipping the others
 changes no result.
 
 A glossary owns its caches: its digest and its compiled Matcher are computed
-on first use and stored on the instance, and the Matcher keeps a memo of match
-profiles keyed weakly by Document. match_document reads that memo, so each
-(glossary, document) pair is matched at most once while both objects live;
-the memo entry goes when the document does, and all of it when the glossary
-does. Nothing is cached at module level.
+on first use and stored on the instance, and the Matcher keeps, keyed weakly
+by Corpus, the (word count, MatchProfile) list that match_corpus returns, so
+each (glossary, corpus) pair is matched at most once while both objects live.
+Glossaries that lack a list for the same corpus share one scan per document
+for their root keys (_match_corpora); each Matcher walks its own trie from
+those positions only. Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 from . import records
 from .errors import ValidationError
-from .text import Document, tokenize
+from .text import Corpus, tokenize
 
 # Terminal marker inside trie nodes. Token keys are strings, so None is free.
 _TERM = None
@@ -132,17 +133,21 @@ class Matcher:
                 node = node.setdefault(tok, {})
             node[_TERM] = kid
         self._root = root
-        self._memo = weakref.WeakKeyDictionary()  # Document -> MatchProfile
+        self._corpora = weakref.WeakKeyDictionary()  # Corpus -> match_corpus's list
 
-    def profile(self, tokens) -> MatchProfile:
+    def profile(self, tokens, starts=None) -> MatchProfile:
+        """Match counts of tokens, tried at the ascending positions starts (by
+        default where a root key is); a start that is no root key is skipped."""
         tf: dict[int, int] = {}
         root = self._root
         n = len(tokens)
+        if starts is None:
+            starts = compress(range(n), map(root.__contains__, tokens))
         end = 0  # first position not consumed by the previous match
-        for i in compress(range(n), map(root.__contains__, tokens)):
+        for i in starts:
             if i < end:
                 continue
-            node = root[tokens[i]]
+            node = root.get(tokens[i])  # None at a start that is no root key
             best_id = None
             j = i
             while node is not None:
@@ -163,13 +168,26 @@ def match(glossary: Glossary, tokens) -> MatchProfile:
     return glossary.matcher.profile(tuple(tokens))
 
 
-def match_document(glossary: Glossary, doc: Document) -> MatchProfile:
-    """match(glossary, doc.tokens), computed once per (glossary, document).
+def _match_corpora(glossaries, *corpora) -> None:
+    """Build match_corpus's list of each (glossary, corpus) pair that has none,
+    with one scan per document for the root keys of all the glossaries."""
+    for corpus in corpora:
+        matchers = [m for m in dict.fromkeys(g.matcher for g in glossaries)
+                    if corpus not in m._corpora]
+        if not matchers:
+            continue
+        heads = set().union(*(m._root for m in matchers))
+        lists = [[] for _ in matchers]
+        for tokens in (doc.tokens for doc in corpus):
+            starts = list(compress(range(len(tokens)), map(heads.__contains__, tokens)))
+            for matcher, profiles in zip(matchers, lists):
+                profiles.append((len(tokens), matcher.profile(tokens, starts)))
+        for matcher, profiles in zip(matchers, lists):
+            matcher._corpora[corpus] = profiles
 
-    The profile is shared by every caller, so it must not be modified.
-    """
-    matcher = glossary.matcher
-    profile = matcher._memo.get(doc)
-    if profile is None:
-        profile = matcher._memo[doc] = matcher.profile(doc.tokens)
-    return profile
+
+def match_corpus(glossary: Glossary, corpus: Corpus) -> list[tuple[int, MatchProfile]]:
+    """(word count, match profile) of every document, in corpus order, computed
+    once per (glossary, corpus). The list is shared, so it must not be modified."""
+    _match_corpora((glossary,), corpus)
+    return glossary.matcher._corpora[corpus]

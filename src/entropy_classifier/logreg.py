@@ -17,9 +17,10 @@ at the new weights and the next epoch's gradient share one product X @ w
 0/1 label, and the sigmoid one exp(-|z|).
 
 A corpus is scored as one product, _design_matrix(docs) @ w + intercept, the
-same product training takes (lr_logit). A document is positive when its
-logit is at or above the model's threshold_bias; stats.recall counts that
-rule over a corpus, for the recall and the FPR alike.
+same product training takes (lr_logit), with the docs encoded straight over
+the model's vocabulary: its ids already form a sorted table. A document is
+positive when its logit is at or above the model's threshold_bias;
+stats.recall counts that rule over a corpus, for the recall and the FPR alike.
 
 numpy and scipy are imported inside the functions that use them, so that
 `import entropy_classifier.cli` (which reaches this module through
@@ -69,8 +70,9 @@ class LrParams:
 
 @dataclass(frozen=True, eq=False)
 class _Encoded:
-    """A corpus encoded once: its distinct tokens in sorted order, row i's
-    count of each (column = table id, sorted), and each row's word count."""
+    """A corpus encoded once: a sorted token table (its own distinct tokens,
+    or a vocabulary's), row i's count of each (column = table id, sorted),
+    and each row's word count."""
 
     table: list[str]
     counts: sparse.csr_matrix
@@ -80,24 +82,29 @@ class _Encoded:
         return len(self.word_counts)
 
 
-def _encode(docs) -> _Encoded:
-    """docs encoded, or docs itself when it already is."""
+def _encode(docs, vocab: dict[str, int] | None = None) -> _Encoded:
+    """docs encoded over vocab, whose ids follow its order (by default over
+    all of their tokens), or docs itself when it already is encoded."""
     import numpy as np
     from scipy import sparse
 
     if isinstance(docs, _Encoded):
         return docs
     docs = list(docs)
-    table = sorted(set(chain.from_iterable(doc.tokens for doc in docs)))
-    ids, word_counts = featurize(docs, dict(zip(table, range(len(table)))))
-    starts = np.concatenate([[0], np.cumsum(word_counts)])
-    counts = sparse.csr_matrix((np.ones(len(ids), dtype=np.int32), ids, starts),
-                               shape=(len(word_counts), len(table)))
+    if vocab is None:
+        table = sorted(set(chain.from_iterable(doc.tokens for doc in docs)))
+        vocab = dict(zip(table, range(len(table))))
+    ids, word_counts = featurize(docs, vocab)
+    # Out-of-vocabulary ids (-1) are dropped; row i keeps its word count.
+    known = ids >= 0
+    ends = np.concatenate([[0], np.cumsum(known)])[np.concatenate([[0], np.cumsum(word_counts)])]
+    counts = sparse.csr_matrix((np.ones(ends[-1], dtype=np.int32), ids[known], ends),
+                               shape=(len(word_counts), len(vocab)))
     # One sort of the (document, id) keys; adding up repeats gives exact counts,
     # kept in the smallest unsigned type that holds them.
     counts.sum_duplicates()
     counts.data = counts.data.astype(np.min_scalar_type(counts.data.max(initial=0)))
-    return _Encoded(table, counts, word_counts)
+    return _Encoded(list(vocab), counts, word_counts)
 
 
 def build_vocabulary(*corpora) -> dict[str, int]:
@@ -246,7 +253,7 @@ def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()
 
 def lr_logit(model: LrModel, docs) -> list[float]:
     """Pre-threshold linear score w . x + intercept of each document, in order."""
-    X = _design_matrix(docs, model.vocabulary)
+    X = _design_matrix(_encode(docs, model.vocabulary), model.vocabulary)
     return (X @ model.weights[:-1] + model.intercept).tolist()
 
 

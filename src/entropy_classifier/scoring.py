@@ -34,9 +34,10 @@ kernel and predict, which standardizes a raw score and decides it, and
 builds one complete ScoreBreakdown per document; score_corpus checks the
 glossary once and calls raw_score for each document. The caches live on the
 glossary (see glossary.py) and die with it: both paths compare the model
-against the glossary's cached digest and take the document's match profile
-from glossary.match_document, so scoring a document that training,
-calibration or an earlier score already matched costs no second match.
+against the glossary's cached digest. The bulk path reads the corpus's
+(word count, match profile) list from glossary.match_corpus, so a corpus that
+training, calibration or an ablation model already matched costs no second
+match; raw_score matches its one document with the glossary's Matcher.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .glossary import Glossary, MatchProfile, match_document
+from .glossary import Glossary, MatchProfile, match_corpus
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches match
 # under this module's name, so the name must stay bound.
 from .glossary import match  # noqa: F401
@@ -142,7 +143,7 @@ def predict(raw: float, model: BackgroundModel) -> tuple[float, float, bool]:
 def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
     """Score one document: the kernel's raw score, then predict."""
     _check_digest(glossary, model)
-    tf = match_document(glossary, doc)
+    tf = glossary.matcher.profile(doc.tokens)
     L, contributions, tfidf_over_L, entropy, s = _score_profile(
         tf, len(doc.tokens), model.idf, model.k, model.entropy_weighted)
     # In field order; predict supplies the last three fields.
@@ -174,6 +175,6 @@ def standardized_scores(corpus: Corpus, glossary: Glossary, model: BackgroundMod
     """
     _check_digest(glossary, model)
     idf, k, entropy_weighted = model.idf, model.k, model.entropy_weighted
-    return [_standardize(_score_profile(match_document(glossary, doc), len(doc.tokens), idf, k,
-                                        entropy_weighted)[-1], model)
-            for doc in corpus]
+    return [_standardize(_score_profile(profile, word_count, idf, k, entropy_weighted)[-1],
+                         model)
+            for word_count, profile in match_corpus(glossary, corpus)]

@@ -18,9 +18,8 @@ field of a tab-separated, line-oriented UTF-8 score record. A directory that
 cannot be listed is an I/O error, not an empty part of the corpus. Symlinks
 to files are documents; symlinked directories are not descended. A directory's
 documents are ordered ascending by id, a line file's by line and an in-memory
-corpus's by text, so downstream statistics are reproducible. A Document is
-equal only to itself, so two documents with the same fields are still two
-documents, each with its own match memo entry.
+corpus's by text, so downstream statistics are reproducible. A Document or
+Corpus is equal only to itself, so two with the same fields are still two.
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ def tokenize(raw_text: str) -> list[str]:
     return tokens
 
 
-# eq=False: a Document compares and hashes by identity, so a match memo keyed
-# by it costs one pointer hash per lookup instead of hashing every token.
 @dataclass(frozen=True, eq=False)
 class Document:
     """One unit of classifiable text; tokens are tokenize(raw_text)."""
@@ -96,7 +93,9 @@ class Document:
         return cls(id=doc_id, raw_text=raw_text, tokens=tuple(tokenize(raw_text)))
 
 
-@dataclass(frozen=True)
+# eq=False: a Corpus hashes by identity, so the glossaries' match lists keyed
+# by it (glossary.match_corpus) cost one pointer hash per lookup.
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """Ordered document collection, in the order its source gives (see the
     module docstring)."""

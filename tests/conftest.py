@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from entropy_classifier.errors import ToolError
+from entropy_classifier import records
+from entropy_classifier.errors import InputOutputError, ToolError
 from entropy_classifier.glossary import Matcher, make_glossary
 from entropy_classifier.text import corpus_from_texts
 
@@ -66,9 +67,9 @@ def count_match_calls(monkeypatch) -> list[int]:
     calls = [0]
     profile = Matcher.profile
 
-    def counting(self, tokens):
+    def counting(self, tokens, *starts):
         calls[0] += 1
-        return profile(self, tokens)
+        return profile(self, tokens, *starts)
 
     monkeypatch.setattr(Matcher, "profile", counting)
     return calls
@@ -95,6 +96,44 @@ def refuse_scandir(monkeypatch, refused: Path) -> None:
         return scandir(path)
 
     monkeypatch.setattr(os, "scandir", guarded)
+
+
+class _FullDisk:
+    """An open file whose every write fails as on a full disk."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._f.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+WRITE_FAULTS = ["disk_full", "replace_refused", "interrupted"]
+
+
+def inject_write_fault(monkeypatch, fault: str) -> type[BaseException]:
+    """Make the next atomic file write (records._replace) fail at one step:
+    the temp file's write hits a full disk, os.replace raises OSError, or a
+    KeyboardInterrupt arrives in os.replace. Returns what the write raises."""
+    if fault == "disk_full":
+        def open_full(path, mode="r", *args, **kwargs):
+            f = open(path, mode, *args, **kwargs)
+            return _FullDisk(f) if mode == "xb" else f
+        monkeypatch.setattr(records, "open", open_full, raising=False)
+        return InputOutputError
+    interrupted = fault == "interrupted"
+
+    def replace(src, dst):
+        raise KeyboardInterrupt() if interrupted else OSError(errno.EBUSY, os.strerror(errno.EBUSY))
+
+    monkeypatch.setattr(records.os, "replace", replace)
+    return KeyboardInterrupt if interrupted else InputOutputError
 
 
 def write_lines_file(path: Path, lines: list[str]) -> Path:

@@ -5,7 +5,13 @@ import pytest
 from entropy_classifier.cli import main
 from entropy_classifier.model import load_model
 
-from conftest import refuse_scandir, write_corpus_dir, write_lines_file
+from conftest import (
+    WRITE_FAULTS,
+    inject_write_fault,
+    refuse_scandir,
+    write_corpus_dir,
+    write_lines_file,
+)
 
 GLOSSARY = "# finance terms\ntax return\ninterest rate\ndividend\naudit\nportfolio\n"
 
@@ -293,6 +299,25 @@ class TestCalibrate:
         assert rc == 1
         assert "bias must be finite" in capsys.readouterr().err
         assert (workspace / "model.txt").read_bytes() == before
+
+    @pytest.mark.parametrize("fault", WRITE_FAULTS)
+    def test_failed_bias_write_keeps_model(self, workspace, capsys, monkeypatch, fault):
+        run_train(workspace)
+        path = workspace / "model.txt"
+        before, names = path.read_bytes(), sorted(p.name for p in workspace.iterdir())
+        capsys.readouterr()
+        raised = inject_write_fault(monkeypatch, fault)
+        args = ["calibrate", "--model", str(path), "--bias", "1.25"]
+        if raised is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        else:
+            assert main(args) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: cannot write {path}: ")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in workspace.iterdir()) == names
 
     def test_unloadable_calibrated_bias_exits_1_and_keeps_model(self, workspace, capsys):
         # A sigma so small that a keyword-rich negative would standardize to

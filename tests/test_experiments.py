@@ -141,6 +141,15 @@ class TestExperiment2:
                 short = name
                 assert any(short in w for w in report.warnings)
 
+    def test_matches_each_document_once_per_category(self, monkeypatch):
+        # The knowledge-based model matches the shared corpora, A's held-out
+        # half and B; the LR baseline matches nothing.
+        cfg = tiny_config()
+        calls = count_match_calls(monkeypatch)
+        run_experiment2(cfg)
+        assert calls == [sum(len(cfg.background) + len(cfg.negatives) + len(s.positives) // 2
+                             + len(s.positives_b) for s in cfg.categories)]
+
     def test_fpr_is_the_calibrated_fpr(self):
         cfg = tiny_config()
         report = run_experiment2(cfg)

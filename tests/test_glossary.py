@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -8,14 +9,15 @@ from entropy_classifier.errors import ValidationError
 from entropy_classifier.glossary import (
     Glossary,
     Matcher,
+    _match_corpora,
     load_glossary,
     make_glossary,
     match,
-    match_document,
+    match_corpus,
 )
-from entropy_classifier.text import Document
+from entropy_classifier.text import Corpus, Document, corpus_from_texts
 
-from conftest import loads_or_refuses, random_glossary_and_doc
+from conftest import count_match_calls, loads_or_refuses, random_glossary_and_doc
 from oracles import naive_match
 
 
@@ -155,16 +157,62 @@ class TestMatching:
         naive = naive_match(phrases, tokens)
         assert profile.tf == naive
         assert profile.total_matches == sum(naive.values())
-        doc = Document.from_text("d", " ".join(tokens))
-        assert match_document(g, doc) == profile
-        assert match_document(g, doc) is match_document(g, doc)
+        corpus = corpus_from_texts([" ".join(tokens)])
+        assert match_corpus(g, corpus) == [(len(tokens), profile)]
+        assert match_corpus(g, corpus) is match_corpus(g, corpus)
 
-    def test_equal_documents_get_separate_memo_entries(self):
-        # Documents compare by identity, so the memo never hashes tokens.
+
+class TestMatchCorpus:
+    def test_computed_once_per_corpus(self, monkeypatch):
+        g = make_glossary("x", [("a",), ("a", "b")])
+        corpus = corpus_from_texts(["a b a", "b", ""])
+        calls = count_match_calls(monkeypatch)
+        first = match_corpus(g, corpus)
+        assert match_corpus(g, corpus) is first
+        assert calls == [len(corpus)]
+        assert first == [(len(doc.tokens), match(g, doc.tokens)) for doc in corpus]
+
+    def test_equal_corpora_get_separate_entries(self):
+        # Corpora compare by identity, so a lookup never hashes the documents.
         g = make_glossary("x", [("a",)])
-        d1, d2 = Document.from_text("d", "a a"), Document.from_text("d", "a a")
-        assert d1 != d2
-        p1, p2 = match_document(g, d1), match_document(g, d2)
-        assert p1 is not p2
-        assert p1 == p2
-        assert len(g.matcher._memo) == 2
+        docs = (Document.from_text("d", "a a"),)
+        c1, c2 = Corpus(docs, "s"), Corpus(docs, "s")
+        assert c1 != c2
+        l1, l2 = match_corpus(g, c1), match_corpus(g, c2)
+        assert l1 is not l2
+        assert l1 == l2
+        assert len(g.matcher._corpora) == 2
+
+    def test_entry_goes_with_its_corpus(self):
+        g = make_glossary("x", [("a",)])
+        kept, dropped = corpus_from_texts(["a"]), corpus_from_texts(["a a"])
+        match_corpus(g, kept), match_corpus(g, dropped)
+        del dropped
+        gc.collect()
+        assert list(g.matcher._corpora.keys()) == [kept]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_scan_equals_naive_scan_per_glossary(self, data):
+        vocab = ["u", "v", "w", "x", "y"]
+        phrase = st.lists(st.sampled_from(vocab), min_size=1, max_size=3).map(tuple)
+        phrase_sets = data.draw(st.lists(st.sets(phrase, min_size=1, max_size=6),
+                                         min_size=2, max_size=4))
+        # The second glossary also holds the first's smallest phrase, that
+        # phrase's first token and the phrase one token longer: a shared
+        # phrase, a shared root key and a prefix across glossaries.
+        shared = min(phrase_sets[0])
+        phrase_sets[1] |= {shared, shared[:1], shared + (data.draw(st.sampled_from(vocab)),)}
+        glossaries = [make_glossary(f"g{i}", p) for i, p in enumerate(phrase_sets)]
+        corpus = corpus_from_texts(data.draw(st.lists(
+            st.lists(st.sampled_from(vocab), max_size=30).map(" ".join), max_size=4)))
+        if data.draw(st.booleans()):
+            match_corpus(glossaries[-1], corpus)  # matched alone first, then skipped
+        _match_corpora(glossaries + glossaries[:1], corpus)
+        for g in glossaries:
+            for doc, (word_count, profile) in zip(corpus, match_corpus(g, corpus), strict=True):
+                naive = naive_match(g.phrases, doc.tokens)
+                assert word_count == len(doc.tokens)
+                assert profile.tf == naive
+                assert list(profile.tf) == sorted(naive)
+                assert profile.total_matches == sum(naive.values())

@@ -7,6 +7,8 @@ import pytest
 from entropy_classifier import records
 from entropy_classifier.errors import InputOutputError, ValidationError
 
+from conftest import WRITE_FAULTS, inject_write_fault
+
 
 class TestParse:
     def test_key_ends_at_first_whitespace_and_value_is_kept_whole(self):
@@ -47,6 +49,19 @@ class TestWrite:
         path.write_bytes(b"old\n")
         with pytest.raises(ValidationError, match="UTF-8"):
             records.write_text(path, "\udcff")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    @pytest.mark.parametrize("fault", WRITE_FAULTS)
+    def test_failed_write_leaves_old_file_and_no_temp_file(self, tmp_path, monkeypatch, fault):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"old\n")
+        raised = inject_write_fault(monkeypatch, fault)
+        with pytest.raises(raised) as info:
+            records.write_text(path, "new\n")
+        if raised is InputOutputError:
+            assert str(info.value).startswith(f"cannot write {path}: ")
+            assert info.value.exit_code == 2
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 

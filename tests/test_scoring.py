@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from entropy_classifier.background import train
 from entropy_classifier.errors import ValidationError
-from entropy_classifier.glossary import Glossary, MatchProfile, make_glossary
+from entropy_classifier.glossary import Glossary, MatchProfile, make_glossary, match_corpus
 from entropy_classifier.model import BackgroundModel
 from entropy_classifier.scoring import (
     ScoreBreakdown,
@@ -225,7 +225,8 @@ class TestCacheLifetime:
         corpus = corpus_from_texts(BACKGROUND_TEXTS)
         model = train(glossary, corpus)
         assert all(b.raw_score >= 0 for b in score_corpus(corpus, glossary, model))
-        profile = weakref.ref(raw_score(corpus.documents[-1], glossary, model).tf)
+        # Training cached the corpus's match list; it goes with the corpus.
+        profile = weakref.ref(match_corpus(glossary, corpus)[-1][1])
         del corpus
         gc.collect()
         assert profile() is None
