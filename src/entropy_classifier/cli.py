@@ -150,19 +150,19 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if (args.bias is None) == (args.negatives is None):
         raise ValidationError("calibrate needs exactly one of --bias or --negatives")
     if args.bias is not None:
-        updated, report = replace(model, bias=args.bias), ""
+        updated, report = replace(model, bias=args.bias), []
     elif args.glossary is None:
         raise ValidationError("calibrate --negatives needs --glossary")
     else:
         glossary = load_glossary(args.glossary)
         negatives = load_corpus(args.negatives)
         updated, achieved_fpr = calibrate_fpr(model, glossary, negatives, args.target_fpr)
-        report = (f"achieved_fpr {format_float(achieved_fpr)}\n"
-                  f"target_fpr {format_float(args.target_fpr)}\n"
-                  f"n_negatives {len(negatives)}\n")
+        report = [("achieved_fpr", format_float(achieved_fpr)),
+                  ("target_fpr", format_float(args.target_fpr)),
+                  ("n_negatives", str(len(negatives)))]
     # The model checked the bias, so the file gets only a bias it will load.
     rewrite_bias_line(args.model, updated.bias)
-    _emit(f"bias {format_float(updated.bias)}\n" + report, args.output)
+    _emit(records.render([("bias", format_float(updated.bias)), *report]), args.output)
     return 0
 
 
@@ -203,13 +203,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     glossary = load_glossary(args.glossary)
     positives = load_corpus(args.positives)
     r = recall(standardized_scores(positives, glossary, model), model.bias)
-    lines = [f"recall {format_float(r)}", f"n_positives {len(positives)}"]
+    pairs = [("recall", format_float(r)), ("n_positives", str(len(positives)))]
     if args.negatives is not None:
         negatives = load_corpus(args.negatives)
         fpr = measure_fpr(model, glossary, negatives)
-        lines.append(f"fpr {format_float(fpr)}")
-        lines.append(f"n_negatives {len(negatives)}")
-    _emit("\n".join(lines) + "\n", args.output)
+        pairs += [("fpr", format_float(fpr)), ("n_negatives", str(len(negatives)))]
+    _emit(records.render(pairs), args.output)
     return 0
 
 
@@ -248,15 +247,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_tables(args: argparse.Namespace) -> int:
-    paths = list(args.tables) if args.tables else bundled_golden_paths()
-    parts = []
-    all_ok = True
-    for path in paths:
-        report = verify_table(path)
-        parts.append(render_table_report(report))
-        all_ok = all_ok and report.all_passed
-    _emit("".join(parts), args.output)
-    if not all_ok:
+    reports = [verify_table(path) for path in args.tables or bundled_golden_paths()]
+    _emit("".join(map(render_table_report, reports)), args.output)
+    if not all(report.all_passed for report in reports):
         print("error: one or more table checks failed", file=sys.stderr)
         return 1
     return 0

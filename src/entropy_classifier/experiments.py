@@ -257,30 +257,21 @@ def _fmt_opt(value, digits: int | None = None) -> str:
 
 def render_records(report: EvalReport) -> str:
     """Machine-readable line records, floats at 17 significant digits."""
-    lines = [
-        f"report {report.experiment}",
-        f"k {report.k}",
-        f"target_fpr {format_float(report.target_fpr)}",
-    ]
+    pairs = [("report", report.experiment), ("k", str(report.k)),
+             ("target_fpr", format_float(report.target_fpr))]
     for name, row in report.per_category.items():
-        lines.append(
-            f"category {name} "
-            f"recall_a {format_float(row.recall_a)} recall_b {format_float(row.recall_b)} "
-            f"fpr_a {format_float(row.fpr_a)} fpr_b {_fmt_opt(row.fpr_b)} "
-            f"n_pos_a {row.n_pos_a} n_pos_b {row.n_pos_b} "
-            f"n_neg {row.n_neg} fractional_change {_fmt_opt(row.fractional_change)}"
-        )
-    for key in report.aggregate:
-        lines.append(f"aggregate {key} {format_float(report.aggregate[key])}")
+        pairs.append(("category", f"{name} recall_a {format_float(row.recall_a)} "
+                      f"recall_b {format_float(row.recall_b)} fpr_a {format_float(row.fpr_a)} "
+                      f"fpr_b {_fmt_opt(row.fpr_b)} n_pos_a {row.n_pos_a} n_pos_b {row.n_pos_b} "
+                      f"n_neg {row.n_neg} fractional_change {_fmt_opt(row.fractional_change)}"))
+    pairs += [("aggregate", f"{key} {format_float(value)}")
+              for key, value in report.aggregate.items()]
     if report.anova is not None:
         a = report.anova
-        lines.append(
-            f"anova f_stat {format_float(a.f_stat)} df_between {a.df_between} "
-            f"df_within {a.df_within} p_value {format_float(a.p_value)}"
-        )
-    for w in report.warnings:
-        lines.append(f"warning {w}")
-    return "\n".join(lines) + "\n"
+        pairs.append(("anova", f"f_stat {format_float(a.f_stat)} df_between {a.df_between} "
+                               f"df_within {a.df_within} p_value {format_float(a.p_value)}"))
+    pairs += [("warning", w) for w in report.warnings]
+    return records.render(pairs)
 
 
 def render_table(report: EvalReport) -> str:
@@ -427,14 +418,11 @@ def verify_table(path) -> TableReport:
 
 
 def render_table_report(report: TableReport) -> str:
-    lines = [f"table {Path(report.path).name} kind {report.kind} rows {report.n_rows}"]
-    for key, value in report.computed.items():
-        lines.append(f"computed {key} {format_float(value)}")
-    for c in report.checks:
-        verdict = "PASS" if c.passed else "FAIL"
-        lines.append(
-            f"check {c.key} expected {c.expected:g} tol {c.tol_kind} {c.tol:g} -> {verdict}"
-        )
-    for w in report.warnings:
-        lines.append(f"warning {w}")
-    return "\n".join(lines) + "\n"
+    pairs = [("table", f"{Path(report.path).name} kind {report.kind} rows {report.n_rows}")]
+    pairs += [("computed", f"{key} {format_float(value)}")
+              for key, value in report.computed.items()]
+    pairs += [("check", f"{c.key} expected {c.expected:g} tol {c.tol_kind} {c.tol:g} -> "
+                        f"{'PASS' if c.passed else 'FAIL'}")
+              for c in report.checks]
+    pairs += [("warning", w) for w in report.warnings]
+    return records.render(pairs)

@@ -179,5 +179,5 @@ def rewrite_bias_line(path, new_bias: float) -> None:
     if len(hits) != 1:
         raise ValidationError(f"{label}: expected exactly one bias record, found {len(hits)}")
     lines = content.split("\n")
-    lines[hits[0] - 1] = f"bias {records.format_float(new_bias)}"
+    lines[hits[0] - 1] = records.render([("bias", records.format_float(new_bias))]).rstrip("\n")
     records.write_text(path, "\n".join(lines))

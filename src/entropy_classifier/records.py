@@ -1,13 +1,15 @@
-"""Line records: the text format of model files and golden recall tables, and
-the one place the package reads and writes files.
+"""Line records: the text format of model files, golden recall tables and the
+records the CLI prints, and the one place the package reads and writes files.
 
 Files are UTF-8, split on "\\n" only, so a value holding U+2028 survives. A
 blank line or a line starting with "#" is not a record. A record's key ends at
 the first whitespace character; its value is the rest of the line after that
-character, unchanged, so edge spaces survive. Every file starts with a
-`format_version 1` record, then its fixed header records in order: only
-write_records and head know the version. Writes are atomic: a temp file
-beside the target replaces it, so a failed or killed write leaves the old file.
+character, unchanged, so edge spaces survive. render writes every record the
+package prints or saves, and refuses a value holding a newline, so a record
+is always one line. Every file starts with a `format_version 1` record, then
+its fixed header records in order: only write_records and head know the
+version. Writes are atomic: a temp file beside the target replaces it, so a
+failed or killed write leaves the old file.
 """
 
 from __future__ import annotations
@@ -90,14 +92,17 @@ def to_float(label: str, key: str, value: str) -> float:
     return x
 
 
-def write_records(path, records: list[tuple[str, str]]) -> None:
-    """Write `format_version 1`, then the (key, value) records, one line each,
-    atomically."""
-    records = [("format_version", str(FORMAT_VERSION)), *records]
-    for key, value in records:
+def render(pairs) -> str:
+    """A sequence of (key, value) pairs as `key value` lines, one record each."""
+    for key, value in pairs:
         if "\n" in value:
             raise ValidationError(f"{key} {value!r} contains a newline: a record is one line")
-    write_text(path, "".join(f"{key} {value}\n" for key, value in records))
+    return "".join(f"{key} {value}\n" for key, value in pairs)
+
+
+def write_records(path, records: list[tuple[str, str]]) -> None:
+    """Write `format_version 1`, then the (key, value) records, atomically."""
+    write_text(path, render([("format_version", str(FORMAT_VERSION)), *records]))
 
 
 def write_text(path, text: str) -> None:

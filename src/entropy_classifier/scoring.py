@@ -37,7 +37,7 @@ glossary (see glossary.py) and die with it: both paths compare the model
 against the glossary's cached digest. The bulk path reads the corpus's
 (word count, match profile) list from glossary.match_corpus, so a corpus that
 training, calibration or an ablation model already matched costs no second
-match; raw_score matches its one document with the glossary's Matcher.
+match; raw_score matches its one document with glossary.match.
 """
 
 from __future__ import annotations
@@ -47,10 +47,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .glossary import Glossary, MatchProfile, match_corpus
-# Not called here: the benchmark tracer (perfbench/tracer.py) patches match
-# under this module's name, so the name must stay bound.
-from .glossary import match  # noqa: F401
+from .glossary import Glossary, MatchProfile, match, match_corpus
 from .model import BackgroundModel
 from .text import Corpus, Document
 
@@ -143,7 +140,7 @@ def predict(raw: float, model: BackgroundModel) -> tuple[float, float, bool]:
 def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> ScoreBreakdown:
     """Score one document: the kernel's raw score, then predict."""
     _check_digest(glossary, model)
-    tf = glossary.matcher.profile(doc.tokens)
+    tf = match(glossary, doc.tokens)
     L, contributions, tfidf_over_L, entropy, s = _score_profile(
         tf, len(doc.tokens), model.idf, model.k, model.entropy_weighted)
     # In field order; predict supplies the last three fields.

@@ -14,12 +14,15 @@ directory (one document per regular file, id = path relative to the
 directory) or any other path, read as a line-delimited file (one document per
 non-empty line, id = zero-padded physical line number). A directory id that
 holds a tab or line break, or is not valid UTF-8, is refused: an id is one
-field of a tab-separated, line-oriented UTF-8 score record. A directory that
-cannot be listed is an I/O error, not an empty part of the corpus. Symlinks
-to files are documents; symlinked directories are not descended. A directory's
-documents are ordered ascending by id, a line file's by line and an in-memory
-corpus's by text, so downstream statistics are reproducible. A Document or
-Corpus is equal only to itself, so two with the same fields are still two.
+field of a tab-separated, line-oriented UTF-8 score record. A corpus path
+whose stat is refused is read as a line file and fails as that read does. A
+directory that cannot be listed, or an entry whose stat is refused, is an I/O
+error, not an empty part of the corpus; a dangling symlink is passed over.
+Symlinks to files are documents; symlinked directories are not descended. A
+directory's documents are ordered ascending by id, a line file's by line and
+an in-memory corpus's by text, so downstream statistics are reproducible. A
+Document or Corpus is equal only to itself, so two with the same fields are
+still two.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import string
 from dataclasses import dataclass
 from itertools import filterfalse
 from pathlib import Path
+from stat import S_ISREG
 
 from . import records
 from .errors import InputOutputError, ValidationError
@@ -117,8 +121,8 @@ def corpus_from_texts(texts, source: str = "<memory>") -> Corpus:
                   source=source)
 
 
-def _refuse_directory(exc: OSError):
-    """os.walk's error hook: a directory that cannot be listed stops the load."""
+def _refuse(exc: OSError):
+    """Stop the load: a directory cannot be listed or an entry's stat is refused."""
     raise InputOutputError(f"cannot read {exc.filename}: {exc.strerror or exc}") from exc
 
 
@@ -131,19 +135,21 @@ def load_corpus(source) -> Corpus:
     physical line.
     """
     path = Path(source)
-    if not path.exists():
-        raise InputOutputError(f"cannot read {path}: no such file or directory")
-
-    if path.is_dir():
+    if os.path.isdir(path):
         root = os.fspath(path)
         files = {}  # id -> path
-        for dirpath, _, names in os.walk(root, onerror=_refuse_directory):
+        for dirpath, _, names in os.walk(root, onerror=_refuse):
             rel = os.path.relpath(dirpath, root)
             prefix = "" if rel == os.curdir else rel.replace(os.sep, "/") + "/"
             for name in names:
                 full = os.path.join(dirpath, name)
-                if os.path.isfile(full):
-                    files[prefix + name] = full
+                try:
+                    if S_ISREG(os.stat(full).st_mode):
+                        files[prefix + name] = full
+                except FileNotFoundError:  # a dangling symlink
+                    pass
+                except OSError as exc:
+                    _refuse(exc)
         docs = []
         for doc_id in sorted(files):
             if _BAD_ID.search(doc_id):

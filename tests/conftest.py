@@ -1,3 +1,4 @@
+import builtins
 import errno
 import os
 import random
@@ -96,6 +97,28 @@ def refuse_scandir(monkeypatch, refused: Path) -> None:
         return scandir(path)
 
     monkeypatch.setattr(os, "scandir", guarded)
+
+
+def refuse_stat(monkeypatch, refused: Path) -> None:
+    """Make os.stat and open refuse one path as they do when a directory above
+    it cannot be searched. Tests may run as root, where chmod cannot make one."""
+    stat, open_ = os.stat, builtins.open
+    target = os.fspath(refused)
+
+    def check(path):
+        if isinstance(path, (str, os.PathLike)) and os.fspath(path) == target:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+
+    def guarded_stat(path, *args, **kwargs):
+        check(path)
+        return stat(path, *args, **kwargs)
+
+    def guarded_open(file, *args, **kwargs):
+        check(file)
+        return open_(file, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", guarded_stat)
+    monkeypatch.setattr(builtins, "open", guarded_open)
 
 
 class _FullDisk:

@@ -9,6 +9,7 @@ from conftest import (
     WRITE_FAULTS,
     inject_write_fault,
     refuse_scandir,
+    refuse_stat,
     write_corpus_dir,
     write_lines_file,
 )
@@ -233,6 +234,46 @@ class TestScore:
         assert rc == 1
         assert "different glossary" in capsys.readouterr().err
         assert (workspace / "model.txt").read_bytes() == model_bytes
+
+
+class TestCorpusStatRefused:
+    """A corpus that cannot be reached is an I/O error: exit 2, no stdout,
+    one error line naming what was refused."""
+
+    @staticmethod
+    def run(ws, command, corpus):
+        if command == "train":
+            return main(["train", "--glossary", str(ws / "gloss.txt"),
+                         "--background", str(corpus), "--out", str(ws / "new.txt")])
+        return main(["score", "--model", str(ws / "model.txt"),
+                     "--glossary", str(ws / "gloss.txt"), "--input", str(corpus)])
+
+    @staticmethod
+    def assert_refused(ws, capsys, refused):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {refused}: Permission denied\n"
+        assert not (ws / "new.txt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_corpus_path_exits_2(self, workspace, capsys, monkeypatch, command):
+        run_train(workspace)
+        capsys.readouterr()
+        corpus = write_lines_file(workspace / "bg.txt", BACKGROUND)
+        refuse_stat(monkeypatch, corpus)
+        assert self.run(workspace, command, corpus) == 2
+        self.assert_refused(workspace, capsys, corpus)
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_directory_entry_exits_2(self, workspace, capsys, monkeypatch, command):
+        run_train(workspace)
+        capsys.readouterr()
+        corpus = write_corpus_dir(workspace / "d", {
+            name: text for name, text in zip(
+                ["a.txt", "b.txt", "c.txt", "sub/d.txt", "sub/e.txt", "sub/f.txt"], BACKGROUND)})
+        refuse_stat(monkeypatch, corpus / "sub" / "e.txt")
+        assert self.run(workspace, command, corpus) == 2
+        self.assert_refused(workspace, capsys, corpus / "sub" / "e.txt")
 
 
 @pytest.mark.parametrize("command,inputs", [
@@ -521,6 +562,22 @@ class TestVerifyTablesCommand:
         captured = capsys.readouterr()
         assert "-> FAIL" in captured.out
         assert "table checks failed" in captured.err
+
+    def test_table_name_with_newline_exits_1(self, tmp_path, capsys):
+        # The name would otherwise print as a `table` record and a forged `row`.
+        table = "format_version 1\nkind recall_pair\nrow a 0.2 0.4\n"
+        fine = tmp_path / "fine.txt"
+        fine.write_text(table, encoding="utf-8")
+        try:
+            forged = tmp_path / "t\nrow evil 1 1.txt"
+            forged.write_text(table, encoding="utf-8")
+        except OSError:
+            pytest.skip("the filesystem refuses a file name holding a newline")
+        rc = main(["verify-tables", "--golden-tables", str(fine), "--golden-tables", str(forged)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a record is one line" in captured.err
 
     def test_missing_table_is_io_error(self, tmp_path, capsys):
         rc = main(["verify-tables", "--golden-tables", str(tmp_path / "nope.txt")])

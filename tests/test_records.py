@@ -3,6 +3,8 @@ import stat
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entropy_classifier import records
 from entropy_classifier.errors import InputOutputError, ValidationError
@@ -23,6 +25,22 @@ class TestParse:
 
     def test_indented_line_has_an_empty_key(self):
         assert records.parse("  k 25") == [(1, "", " k 25")]
+
+
+_KEYS = st.from_regex(r"[a-z_]+", fullmatch=True)
+
+
+class TestRender:
+    @given(st.lists(st.tuples(_KEYS, st.text().filter(lambda v: "\n" not in v))))
+    def test_parse_gives_the_pairs_back(self, pairs):
+        text = records.render(pairs)
+        assert records.parse(text) == [(i, key, value)
+                                       for i, (key, value) in enumerate(pairs, start=1)]
+
+    @given(_KEYS, st.text(), st.text())
+    def test_newline_in_value_refused(self, key, before, after):
+        with pytest.raises(ValidationError, match="a record is one line"):
+            records.render([("k", "v"), (key, f"{before}\n{after}")])
 
 
 class TestRead:
