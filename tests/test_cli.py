@@ -276,6 +276,66 @@ class TestCorpusStatRefused:
         self.assert_refused(workspace, capsys, corpus / "sub" / "e.txt")
 
 
+class TestTwoFaultPrecedence:
+    """Two faults at once: the first in reading order decides. A corpus is
+    read to its end before the glossary is checked against the model, before
+    k or the target FPR is checked and before any empty-corpus check; evaluate
+    scores its positives before it reads its negatives. Nothing reaches
+    stdout, and neither the model nor the --output file changes."""
+
+    BASE = {
+        "train": {"--glossary": "gloss.txt", "--background": "corpus", "--out": "model.txt"},
+        "calibrate": {"--model": "model.txt", "--glossary": "gloss.txt",
+                      "--negatives": "negs.txt", "--output": "out.txt"},
+        "score": {"--model": "model.txt", "--glossary": "gloss.txt",
+                  "--input": "input.txt", "--output": "out.txt"},
+        "evaluate": {"--model": "model.txt", "--glossary": "gloss.txt",
+                     "--positives": "input.txt", "--negatives": "negs.txt",
+                     "--output": "out.txt"},
+    }
+
+    @pytest.mark.parametrize("command,faults,code,message", [
+        ("score", {"--glossary": "other.txt", "--input": "missing.txt"}, 2, "cannot read"),
+        ("score", {"--glossary": "other.txt", "--input": "bad3.txt"}, 1,
+         "document 000003: not valid UTF-8"),
+        ("train", {"--k": "0", "--background": "missing.txt"}, 2, "cannot read"),
+        ("train", {"--k": "0", "--background": "blank.txt"}, 1, "k must be"),
+        ("calibrate", {"--glossary": "other.txt", "--negatives": "missing.txt"}, 2,
+         "cannot read"),
+        ("calibrate", {"--glossary": "other.txt", "--negatives": "blank.txt"}, 1,
+         "different glossary"),
+        ("calibrate", {"--target-fpr": "2", "--negatives": "missing.txt"}, 2, "cannot read"),
+        ("evaluate", {"--glossary": "other.txt", "--negatives": "missing.txt"}, 1,
+         "different glossary"),
+        ("evaluate", {"--positives": "bad3.txt", "--negatives": "missing.txt"}, 1,
+         "document 000003: not valid UTF-8"),
+        ("evaluate", {"--glossary": "other.txt", "--positives": "missing.txt"}, 2,
+         "cannot read"),
+    ], ids=["score-glossary+missing", "score-glossary+utf8", "train-k+missing",
+            "train-k+blank", "calibrate-glossary+missing", "calibrate-glossary+blank",
+            "calibrate-fpr+missing", "evaluate-glossary+missing-negatives",
+            "evaluate-utf8+missing-negatives", "evaluate-glossary+missing-positives"])
+    def test_first_fault_in_reading_order_decides(self, workspace, capsys,
+                                                  command, faults, code, message):
+        run_train(workspace)
+        (workspace / "other.txt").write_text("unrelated phrase\n", encoding="utf-8")
+        write_lines_file(workspace / "blank.txt", ["", "  ", ""])
+        (workspace / "bad3.txt").write_bytes(b"tax return\naudit\n\xff\xfe bad\ndividend\n")
+        (workspace / "out.txt").write_text("previous output\n", encoding="utf-8")
+        before = {name: (workspace / name).read_bytes() for name in ("model.txt", "out.txt")}
+        capsys.readouterr()
+        args = {**self.BASE[command], **faults}
+        rc = main([command, *(str(workspace / v) if v.endswith((".txt", "corpus")) else v
+                              for flag, value in args.items() for v in (flag, value))])
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("error: ")
+        assert message in last
+        assert {name: (workspace / name).read_bytes() for name in before} == before
+
+
 @pytest.mark.parametrize("command,inputs", [
     ("score", ["--input", "input.txt"]),
     ("evaluate", ["--positives", "input.txt", "--negatives", "negs.txt"]),
