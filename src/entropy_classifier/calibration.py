@@ -19,7 +19,7 @@ from .glossary import Glossary
 from .model import BackgroundModel
 from .scoring import standardized_scores
 from .stats import recall
-from .text import Corpus
+from .text import Documents
 
 
 def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
@@ -50,7 +50,7 @@ def threshold_for_scores(scores, target_fpr: float) -> tuple[float, float]:
     return bias, recall(scores, bias)
 
 
-def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus,
+def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Documents,
                   target_fpr: float) -> tuple[BackgroundModel, float]:
     """(model with the tight bias, achieved_fpr), the FPR on the negatives <= target."""
     bias, achieved_fpr = threshold_for_scores(standardized_scores(negatives, glossary, model),
@@ -58,6 +58,6 @@ def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus,
     return replace(model, bias=bias), achieved_fpr
 
 
-def measure_fpr(model: BackgroundModel, glossary: Glossary, negatives: Corpus) -> float:
+def measure_fpr(model: BackgroundModel, glossary: Glossary, negatives: Documents) -> float:
     """Fraction of negatives the model classifies positive (y >= 0.5)."""
     return recall(standardized_scores(negatives, glossary, model), model.bias)

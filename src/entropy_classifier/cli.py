@@ -4,7 +4,8 @@ Commands: train, calibrate, score, evaluate, exp1, exp2, verify-tables.
 Results go to --output (default stdout) as line-oriented records with floats
 at 17 significant digits; an --output file is replaced atomically, so a failed
 run leaves the old one. Diagnostics and human-readable tables go to stderr.
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error, 2 I/O error; of two faults, the
+first in reading order decides. Only exp1 and exp2 hold whole corpora.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .experiments import (
     run_experiment2,
     verify_table,
 )
-from .glossary import load_glossary
+from .glossary import load_glossary, match_corpus
 from .logreg import LrParams
 from .model import load_model, rewrite_bias_line, save_model
 from .records import format_float
@@ -37,7 +38,7 @@ from .scoring import score_corpus, standardized_scores
 # score_document under this module's name, so the name must stay bound.
 from .scoring import score_document  # noqa: F401
 from .stats import recall
-from .text import load_corpus
+from .text import load_corpus, read_documents
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,10 +132,14 @@ def _emit(text: str, output: str | None) -> None:
         records.write_text(output, text)
 
 
+def _n_docs(glossary, corpus) -> str:
+    """How many documents of a read corpus the glossary matched, with no second read."""
+    return str(len(match_corpus(glossary, corpus)))
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     glossary = load_glossary(args.glossary, category=args.category)
-    corpus = load_corpus(args.background)
-    model = train(glossary, corpus, args.k)
+    model = train(glossary, read_documents(args.background), args.k)
     save_model(model, args.out)
     print(
         f"trained category={model.category} n_docs={model.n_docs} "
@@ -155,11 +160,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise ValidationError("calibrate --negatives needs --glossary")
     else:
         glossary = load_glossary(args.glossary)
-        negatives = load_corpus(args.negatives)
+        negatives = read_documents(args.negatives)
         updated, achieved_fpr = calibrate_fpr(model, glossary, negatives, args.target_fpr)
         report = [("achieved_fpr", format_float(achieved_fpr)),
                   ("target_fpr", format_float(args.target_fpr)),
-                  ("n_negatives", str(len(negatives)))]
+                  ("n_negatives", _n_docs(glossary, negatives))]
     # The model checked the bias, so the file gets only a bias it will load.
     rewrite_bias_line(args.model, updated.bias)
     _emit(records.render([("bias", format_float(updated.bias)), *report]), args.output)
@@ -173,26 +178,16 @@ _SCORE_COLUMNS = ("doc_id", "word_count", "L", "tfidf_over_L", "entropy",
 def _cmd_score(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     glossary = load_glossary(args.glossary)
-    corpus = load_corpus(args.input)
     columns = _SCORE_COLUMNS + (("contributions",) if args.explain else ())
     lines = ["# " + "\t".join(columns)]
-    for b in score_corpus(corpus, glossary, model):
-        fields = [
-            b.doc_id,
-            str(b.word_count),
-            str(b.effective_length),
-            format_float(b.tfidf_over_L),
-            format_float(b.entropy),
-            format_float(b.raw_score),
-            format_float(b.standardized),
-            format_float(b.probability),
-            "positive" if b.positive else "negative",
-        ]
+    for b in score_corpus(read_documents(args.input), glossary, model):
+        fields = [b.doc_id, str(b.word_count), str(b.effective_length),
+                  *map(format_float, (b.tfidf_over_L, b.entropy, b.raw_score,
+                                      b.standardized, b.probability)),
+                  "positive" if b.positive else "negative"]
         if args.explain:
-            fields.append("; ".join(
-                f"{glossary.phrase_text(kid)}={format_float(v)}"
-                for kid, v in b.per_keyword.items()
-            ))
+            fields.append("; ".join(f"{glossary.phrase_text(kid)}={format_float(v)}"
+                                    for kid, v in b.per_keyword.items()))
         lines.append("\t".join(fields))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -201,13 +196,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     glossary = load_glossary(args.glossary)
-    positives = load_corpus(args.positives)
+    positives = read_documents(args.positives)
     r = recall(standardized_scores(positives, glossary, model), model.bias)
-    pairs = [("recall", format_float(r)), ("n_positives", str(len(positives)))]
+    pairs = [("recall", format_float(r)), ("n_positives", _n_docs(glossary, positives))]
     if args.negatives is not None:
-        negatives = load_corpus(args.negatives)
+        negatives = read_documents(args.negatives)
         fpr = measure_fpr(model, glossary, negatives)
-        pairs += [("fpr", format_float(fpr)), ("n_negatives", str(len(negatives)))]
+        pairs += [("fpr", format_float(fpr)), ("n_negatives", _n_docs(glossary, negatives))]
     _emit(records.render(pairs), args.output)
     return 0
 

@@ -15,12 +15,13 @@ root) and that the previous match did not consume; skipping the others
 changes no result.
 
 A glossary owns its caches: its digest and its compiled Matcher are computed
-on first use and stored on the instance, and the Matcher keeps, keyed weakly
-by Corpus, the (word count, MatchProfile) list that match_corpus returns, so
-each (glossary, corpus) pair is matched at most once while both objects live.
-Glossaries that lack a list for the same corpus share one scan per document
-for their root keys (_match_corpora); each Matcher walks its own trie from
-those positions only. Nothing is cached at module level.
+on first use and stored on the instance; the Matcher keeps, weakly keyed by
+corpus, the (word count, MatchProfile) list match_corpus returns, so each
+(glossary, corpus) pair is matched at most once while both live. A stream
+(text.read_documents) is read once: every glossary that needs its list must be
+in that one call. Glossaries lacking a list for the same corpus share one scan
+per document for their root keys (_match_corpora); each Matcher walks its trie
+from those positions only. Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from . import records
 from .errors import ValidationError
-from .text import Corpus, tokenize
+from .text import Documents, tokenize
 
 # Terminal marker inside trie nodes. Token keys are strings, so None is free.
 _TERM = None
@@ -133,7 +134,7 @@ class Matcher:
                 node = node.setdefault(tok, {})
             node[_TERM] = kid
         self._root = root
-        self._corpora = weakref.WeakKeyDictionary()  # Corpus -> match_corpus's list
+        self._corpora = weakref.WeakKeyDictionary()  # corpus -> match_corpus's list
 
     def profile(self, tokens, starts=None) -> MatchProfile:
         """Match counts of tokens, tried at the ascending positions starts (by
@@ -186,7 +187,7 @@ def _match_corpora(glossaries, *corpora) -> None:
             matcher._corpora[corpus] = profiles
 
 
-def match_corpus(glossary: Glossary, corpus: Corpus) -> list[tuple[int, MatchProfile]]:
+def match_corpus(glossary: Glossary, corpus: Documents) -> list[tuple[int, MatchProfile]]:
     """(word count, match profile) of every document, in corpus order, computed
     once per (glossary, corpus). The list is shared, so it must not be modified."""
     _match_corpora((glossary,), corpus)

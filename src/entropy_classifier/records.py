@@ -36,6 +36,15 @@ def read_bytes(path) -> bytes:
         raise InputOutputError(f"cannot read {Path(path)}: {exc.strerror or exc}") from exc
 
 
+def read_lines(path):
+    """The file's bytes, one line (split after each b"\\n") at a time."""
+    try:
+        with open(path, "rb") as f:
+            yield from f
+    except OSError as exc:
+        raise InputOutputError(f"cannot read {Path(path)}: {exc.strerror or exc}") from exc
+
+
 def read_text(path, label: str) -> str:
     """The file decoded as UTF-8; label prefixes the decode error."""
     try:

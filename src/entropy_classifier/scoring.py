@@ -27,17 +27,18 @@ an ulp at the calibrated bias.
 
 standardized_scores is the bulk path (calibrate, evaluate and the experiment
 recalls): it checks only the glossary (a model checks its own fields, see
-model.py), once, before the first document, then runs the kernel and
-_standardize per document and builds no ScoreBreakdown. raw_score (public
-name score_document) serves the score command and --explain: it runs the
-kernel and predict, which standardizes a raw score and decides it, and
-builds one complete ScoreBreakdown per document; score_corpus checks the
-glossary once and calls raw_score for each document. The caches live on the
-glossary (see glossary.py) and die with it: both paths compare the model
-against the glossary's cached digest. The bulk path reads the corpus's
-(word count, match profile) list from glossary.match_corpus, so a corpus that
-training, calibration or an ablation model already matched costs no second
-match; raw_score matches its one document with glossary.match.
+model.py), once, then runs the kernel and _standardize per document and
+builds no ScoreBreakdown. raw_score (public name score_document) serves the
+score command and --explain: it runs the kernel and predict, which
+standardizes a raw score and decides it, and builds one complete
+ScoreBreakdown per document; score_corpus checks the glossary once and calls
+raw_score for each document as it is read. Both paths compare the model
+against the glossary's cached digest (see glossary.py), and read a corpus,
+which may be a one-pass stream, to its end before they report a mismatch, so
+a read error in it comes first. The bulk path reads the corpus's (word count,
+match profile) list from glossary.match_corpus, so a corpus that training,
+calibration or an ablation model already matched costs no second match;
+raw_score matches its one document with glossary.match.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .glossary import Glossary, MatchProfile, match, match_corpus
 from .model import BackgroundModel
-from .text import Corpus, Document
+from .text import Document, Documents
 
 
 def _entropy(p) -> float:
@@ -101,8 +102,10 @@ class ScoreBreakdown:
     positive: bool
 
 
-def _check_digest(glossary: Glossary, model: BackgroundModel) -> None:
+def _check_digest(glossary: Glossary, model: BackgroundModel, corpus=None) -> None:
     if glossary.cached_digest != model.glossary_digest:
+        if corpus is not None:  # read to its end: a read error in it comes first
+            match_corpus(glossary, corpus)
         raise ValidationError("model was trained for a different glossary")
 
 
@@ -153,24 +156,25 @@ def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> Scor
 score_document = raw_score
 
 
-def score_corpus(corpus: Corpus, glossary: Glossary,
+def score_corpus(corpus: Documents, glossary: Glossary,
                  model: BackgroundModel) -> Iterator[ScoreBreakdown]:
-    """raw_score for every document, in corpus order.
+    """raw_score for every document, in corpus order, each as it is read.
 
-    The glossary is checked here, before the first document, so a mismatch
-    is reported even for an empty corpus.
+    A glossary mismatch is reported after the corpus is read to its end, even
+    for an empty corpus.
     """
-    _check_digest(glossary, model)
+    _check_digest(glossary, model, corpus)
     return (raw_score(doc, glossary, model) for doc in corpus)
 
 
-def standardized_scores(corpus: Corpus, glossary: Glossary, model: BackgroundModel) -> list[float]:
+def standardized_scores(corpus: Documents, glossary: Glossary,
+                        model: BackgroundModel) -> list[float]:
     """Standardized score for every document, in corpus order.
 
-    The glossary is checked once, before the first document, so a mismatch
-    is reported even for an empty corpus.
+    A glossary mismatch is reported after the corpus is read to its end, even
+    for an empty corpus.
     """
-    _check_digest(glossary, model)
+    _check_digest(glossary, model, corpus)
     idf, k, entropy_weighted = model.idf, model.k, model.entropy_weighted
     return [_standardize(_score_profile(profile, word_count, idf, k, entropy_weighted)[-1],
                          model)

@@ -9,20 +9,21 @@ into a space, then str.split(); only a word that still holds a non-ASCII
 separator goes through the regex. That is faster than the regex alone and
 yields the same tokens.
 
-Corpora come from disk in two layouts, told apart by the path itself: a
-directory (one document per regular file, id = path relative to the
-directory) or any other path, read as a line-delimited file (one document per
-non-empty line, id = zero-padded physical line number). A directory id that
-holds a tab or line break, or is not valid UTF-8, is refused: an id is one
-field of a tab-separated, line-oriented UTF-8 score record. A corpus path
-whose stat is refused is read as a line file and fails as that read does. A
-directory that cannot be listed, or an entry whose stat is refused, is an I/O
-error, not an empty part of the corpus; a dangling symlink is passed over.
-Symlinks to files are documents; symlinked directories are not descended. A
-directory's documents are ordered ascending by id, a line file's by line and
-an in-memory corpus's by text, so downstream statistics are reproducible. A
-Document or Corpus is equal only to itself, so two with the same fields are
-still two.
+read_documents yields a corpus's documents one at a time, load_corpus keeps
+them in a Corpus; matching and scoring accept either (Documents). Corpora on
+disk come in two layouts, told apart by the path itself: a directory (one
+document per regular file, id = path relative to the directory) or any other
+path, read as a line-delimited file (one document per non-empty line, id =
+zero-padded physical line number). A directory id that holds a tab or line
+break, or is not valid UTF-8, is refused: an id is one field of a
+tab-separated, line-oriented UTF-8 score record. A corpus path whose stat is
+refused is read as a line file and fails as that read does. A directory that
+cannot be listed, or an entry whose stat is refused, is an I/O error, not an
+empty part of the corpus; a dangling symlink is passed over. Symlinks to files
+are documents; symlinked directories are not descended. A directory's
+documents are ordered ascending by id, a line file's by line and an in-memory
+corpus's by text, so downstream statistics are reproducible. A Document or
+Corpus is equal only to itself, so two with the same fields are still two.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import os
 import re
 import string
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import filterfalse
 from pathlib import Path
@@ -114,6 +116,9 @@ class Corpus:
         return iter(self.documents)
 
 
+Documents = Iterable[Document]  # a Corpus, or read_documents's one-pass stream
+
+
 def corpus_from_texts(texts, source: str = "<memory>") -> Corpus:
     """Build an in-memory Corpus in text order; ids are zero-padded positions."""
     return Corpus(documents=tuple(Document.from_text(f"{i:06d}", t)
@@ -126,13 +131,13 @@ def _refuse(exc: OSError):
     raise InputOutputError(f"cannot read {exc.filename}: {exc.strerror or exc}") from exc
 
 
-def load_corpus(source) -> Corpus:
-    """Load a corpus from a directory or a line-delimited file.
+def read_documents(source) -> Iterator[Document]:
+    """Yield the documents of a directory or a line-delimited file, one at a time.
 
-    A directory holds one document per regular file; any other path is read
-    as a line-delimited file. Blank lines in line-delimited files are skipped
-    but still consume a line number, so ids always point back at the
-    physical line.
+    A directory holds one document per regular file, and is listed and sorted
+    before the first is read; any other path is read as a line-delimited file.
+    Blank lines in line-delimited files are skipped but still consume a line
+    number, so ids always point back at the physical line.
     """
     path = Path(source)
     if os.path.isdir(path):
@@ -150,24 +155,25 @@ def load_corpus(source) -> Corpus:
                     pass
                 except OSError as exc:
                     _refuse(exc)
-        docs = []
         for doc_id in sorted(files):
             if _BAD_ID.search(doc_id):
                 raise ValidationError(f"document {doc_id!r}: a file name holds a tab or "
                                       "line break, or is not valid UTF-8")
             text = records.read_text(files[doc_id], f"document {doc_id}")
-            docs.append(Document.from_text(doc_id, text))
-        return Corpus(documents=tuple(docs), source=root)
+            yield Document.from_text(doc_id, text)
+        return
 
     # Decoded line by line, so a decode error names the document.
-    docs = []
-    for lineno, line in enumerate(records.read_bytes(path).split(b"\n"), start=1):
+    for lineno, line in enumerate(records.read_lines(path), start=1):
         doc_id = f"{lineno:06d}"
         try:
-            text = line.decode("utf-8")
+            text = line.removesuffix(b"\n").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"document {doc_id}: not valid UTF-8 ({exc})") from exc
-        if text.strip() == "":
-            continue
-        docs.append(Document.from_text(doc_id, text))
-    return Corpus(documents=tuple(docs), source=str(path))
+        if text.strip():
+            yield Document.from_text(doc_id, text)
+
+
+def load_corpus(source) -> Corpus:
+    """The Corpus of read_documents(source)."""
+    return Corpus(documents=tuple(read_documents(source)), source=os.fspath(Path(source)))

@@ -1,4 +1,6 @@
+import random
 import stat
+import tracemalloc
 
 import pytest
 
@@ -334,6 +336,40 @@ class TestTwoFaultPrecedence:
         assert last.startswith("error: ")
         assert message in last
         assert {name: (workspace / name).read_bytes() for name in before} == before
+
+
+def test_kb_commands_hold_one_document_at_a_time(tmp_path, capsys):
+    """Each KB command's tracemalloc peak grows by at most 1 KB per added
+    document: it keeps a document's match profile, score or output line,
+    never the document's text or tokens (about 20 KB for these lines)."""
+    (tmp_path / "gloss.txt").write_text(
+        "".join(f"key{i}\n" for i in range(40)) + "".join(f"key{i} extra{i}\n" for i in range(20)),
+        encoding="utf-8")
+    rng = random.Random(5)
+    vocab = [f"word{i}" for i in range(2000)] + [f"extra{i}" for i in range(20)]
+    peaks = {}
+    for n in (200, 800):
+        corpus = write_lines_file(tmp_path / f"c{n}.txt", [
+            " ".join(rng.choices(vocab, k=240) + [f"key{rng.randrange(40)}" for _ in range(10)])
+            for _ in range(n)])
+        model = tmp_path / f"m{n}.txt"
+        kb = {"--glossary": tmp_path / "gloss.txt", "--model": model}
+        for command, flags in [
+            ("train", {"--glossary": kb["--glossary"], "--background": corpus, "--out": model}),
+            ("calibrate", {**kb, "--negatives": corpus}),
+            ("score", {**kb, "--input": corpus, "--output": tmp_path / "scores.txt"}),
+            ("evaluate", {**kb, "--positives": corpus, "--negatives": corpus}),
+        ]:
+            tracemalloc.start()
+            try:
+                assert main([command, *(str(a) for item in flags.items() for a in item)]) == 0
+                peaks[command, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    capsys.readouterr()
+    growth = {command: (peaks[command, 800] - peaks[command, 200]) / 600
+              for command in ("train", "calibrate", "score", "evaluate")}
+    assert all(per_doc <= 1024 for per_doc in growth.values()), growth
 
 
 @pytest.mark.parametrize("command,inputs", [

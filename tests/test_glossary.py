@@ -172,6 +172,18 @@ class TestMatchCorpus:
         assert calls == [len(corpus)]
         assert first == [(len(doc.tokens), match(g, doc.tokens)) for doc in corpus]
 
+    def test_stream_is_read_once_and_its_list_kept(self, monkeypatch):
+        g = make_glossary("x", [("a",), ("a", "b")])
+        corpus = corpus_from_texts(["a b a", "b", ""])
+        read = []
+        stream = (read.append(doc.id) or doc for doc in corpus)
+        calls = count_match_calls(monkeypatch)
+        first = match_corpus(g, stream)
+        assert match_corpus(g, stream) is first
+        assert read == ["000001", "000002", "000003"]
+        assert calls == [len(corpus)]
+        assert first == [(len(doc.tokens), match(g, doc.tokens)) for doc in corpus]
+
     def test_equal_corpora_get_separate_entries(self):
         # Corpora compare by identity, so a lookup never hashes the documents.
         g = make_glossary("x", [("a",)])

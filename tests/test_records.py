@@ -55,6 +55,17 @@ class TestRead:
         assert str(info.value) == f"cannot read {tmp_path / name}: {reason}"
         assert info.value.exit_code == 2
 
+    def test_read_lines_splits_after_each_newline_only(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\r\n\nb\xe2\x80\xa8c\nd")
+        assert list(records.read_lines(path)) == [b"a\r\n", b"\n", b"b\xe2\x80\xa8c\n", b"d"]
+
+    def test_read_lines_of_missing_file_is_io_error(self, tmp_path):
+        lines = records.read_lines(tmp_path / "missing.txt")
+        with pytest.raises(InputOutputError,
+                           match=f"cannot read {tmp_path / 'missing.txt'}: No such file"):
+            next(lines)
+
 
 class TestWrite:
     def test_newline_in_value_rejected_before_writing(self, tmp_path):

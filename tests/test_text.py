@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropy_classifier.errors import InputOutputError, ValidationError
-from entropy_classifier.text import Document, corpus_from_texts, load_corpus, tokenize
+from entropy_classifier.text import (
+    Document,
+    corpus_from_texts,
+    load_corpus,
+    read_documents,
+    tokenize,
+)
 
 from conftest import loads_or_refuses, refuse_scandir, write_corpus_dir, write_lines_file
 from oracles import naive_tokenize
@@ -194,3 +200,36 @@ class TestLoadCorpusLines:
     def test_arbitrary_bytes_load_or_refuse(self, fuzz_file, data):
         fuzz_file.write_bytes(data)
         loads_or_refuses(load_corpus, fuzz_file)
+
+
+class TestReadDocuments:
+    # A line file is split on "\n" only: "\r" and U+2028 stay inside a line.
+    @given(st.lists(st.one_of(st.sampled_from(["", "  ", "\r", "tax return", "Audit\r",
+                                               "x\u2028y z", "ΟΔΟΣ ΑΒ"]),
+                              st.text(st.characters(blacklist_categories=("Cs",),
+                                                    blacklist_characters="\n"), max_size=20)),
+                    max_size=12),
+           st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_line_file_streams_what_load_corpus_loads(self, fuzz_file, lines, sep, final):
+        data = sep.join(lines) + (sep if final else "")
+        fuzz_file.write_bytes(data.encode("utf-8"))
+        streamed = [(d.id, d.raw_text, d.tokens) for d in read_documents(fuzz_file)]
+        assert streamed == [(d.id, d.raw_text, d.tokens) for d in load_corpus(fuzz_file)]
+        assert streamed == [(f"{i:06d}", text, tuple(tokenize(text)))
+                            for i, text in enumerate(data.split("\n"), start=1) if text.strip()]
+
+    def test_line_file_is_read_lazily(self, tmp_path):
+        f = tmp_path / "c.txt"
+        f.write_bytes(b"first doc\nsecond doc\n\xff\xfe third\nfourth doc\n")
+        docs = read_documents(f)
+        assert [next(docs).id, next(docs).id] == ["000001", "000002"]
+        with pytest.raises(ValidationError, match="document 000003: not valid UTF-8"):
+            next(docs)
+
+    def test_directory_streams_what_load_corpus_loads(self, tmp_path):
+        base = write_corpus_dir(tmp_path, {"b.txt": "beta doc\n", "sub/a.txt": "alpha\r\ndoc"})
+        assert ([(d.id, d.raw_text, d.tokens) for d in read_documents(base)]
+                == [(d.id, d.raw_text, d.tokens) for d in load_corpus(base)]
+                == [("b.txt", "beta doc\n", ("beta", "doc")),
+                    ("sub/a.txt", "alpha\r\ndoc", ("alpha", "doc"))])
