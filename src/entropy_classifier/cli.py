@@ -5,7 +5,8 @@ Results go to --output (default stdout) as line-oriented records with floats
 at 17 significant digits; an --output file is replaced atomically, so a failed
 run leaves the old one. Diagnostics and human-readable tables go to stderr.
 Exit codes: 0 success, 1 validation error, 2 I/O error; of two faults, the
-first in reading order decides. Only exp1 and exp2 hold whole corpora.
+first in reading order decides. Only exp1 and exp2 hold whole corpora, with
+one string per distinct token of each.
 """
 
 from __future__ import annotations
@@ -199,6 +200,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     positives = read_documents(args.positives)
     r = recall(standardized_scores(positives, glossary, model), model.bias)
     pairs = [("recall", format_float(r)), ("n_positives", _n_docs(glossary, positives))]
+    # The glossary keeps a stream's match list while the stream lives: drop
+    # the positives' before the negatives are read.
+    del positives
     if args.negatives is not None:
         negatives = read_documents(args.negatives)
         fpr = measure_fpr(model, glossary, negatives)

@@ -10,12 +10,16 @@ separator goes through the regex. That is faster than the regex alone and
 yields the same tokens.
 
 read_documents yields a corpus's documents one at a time, load_corpus keeps
-them in a Corpus; matching and scoring accept either (Documents). Corpora on
-disk come in two layouts, told apart by the path itself: a directory (one
-document per regular file, id = path relative to the directory) or any other
-path, read as a line-delimited file (one document per non-empty line, id =
-zero-padded physical line number). A directory id that holds a tab or line
-break, or is not valid UTF-8, is refused: an id is one field of a
+them in a Corpus; matching and scoring accept either (Documents). A Corpus,
+loaded or built by corpus_from_texts, keeps one str per distinct token: equal
+tokens of its documents are the same object, so a token costs the Corpus a
+pointer, not a string. The stream shares nothing, as it keeps nothing.
+
+Corpora on disk come in two layouts, told apart by the path itself: a
+directory (one document per regular file, id = path relative to the directory)
+or any other path, read as a line-delimited file (one document per non-empty
+line, id = zero-padded physical line number). A directory id that holds a tab
+or line break, or is not valid UTF-8, is refused: an id is one field of a
 tab-separated, line-oriented UTF-8 score record. A corpus path whose stat is
 refused is read as a line file and fails as that read does. A directory that
 cannot be listed, or an entry whose stat is refused, is an I/O error, not an
@@ -119,11 +123,20 @@ class Corpus:
 Documents = Iterable[Document]  # a Corpus, or read_documents's one-pass stream
 
 
+def _corpus(texts: Iterable[tuple[str, str]], source: str) -> Corpus:
+    """The Corpus of (id, text) pairs, equal tokens sharing one str."""
+    intern = {}.setdefault
+    documents = []
+    for doc_id, text in texts:
+        tokens = tokenize(text)
+        documents.append(Document(id=doc_id, raw_text=text,
+                                  tokens=tuple(map(intern, tokens, tokens))))
+    return Corpus(documents=tuple(documents), source=source)
+
+
 def corpus_from_texts(texts, source: str = "<memory>") -> Corpus:
     """Build an in-memory Corpus in text order; ids are zero-padded positions."""
-    return Corpus(documents=tuple(Document.from_text(f"{i:06d}", t)
-                                  for i, t in enumerate(texts, start=1)),
-                  source=source)
+    return _corpus(((f"{i:06d}", t) for i, t in enumerate(texts, start=1)), source)
 
 
 def _refuse(exc: OSError):
@@ -131,8 +144,8 @@ def _refuse(exc: OSError):
     raise InputOutputError(f"cannot read {exc.filename}: {exc.strerror or exc}") from exc
 
 
-def read_documents(source) -> Iterator[Document]:
-    """Yield the documents of a directory or a line-delimited file, one at a time.
+def _texts(source) -> Iterator[tuple[str, str]]:
+    """Yield the (id, text) pairs of a directory or a line-delimited file.
 
     A directory holds one document per regular file, and is listed and sorted
     before the first is read; any other path is read as a line-delimited file.
@@ -159,8 +172,7 @@ def read_documents(source) -> Iterator[Document]:
             if _BAD_ID.search(doc_id):
                 raise ValidationError(f"document {doc_id!r}: a file name holds a tab or "
                                       "line break, or is not valid UTF-8")
-            text = records.read_text(files[doc_id], f"document {doc_id}")
-            yield Document.from_text(doc_id, text)
+            yield doc_id, records.read_text(files[doc_id], f"document {doc_id}")
         return
 
     # Decoded line by line, so a decode error names the document.
@@ -171,9 +183,15 @@ def read_documents(source) -> Iterator[Document]:
         except UnicodeDecodeError as exc:
             raise ValidationError(f"document {doc_id}: not valid UTF-8 ({exc})") from exc
         if text.strip():
-            yield Document.from_text(doc_id, text)
+            yield doc_id, text
+
+
+def read_documents(source) -> Iterator[Document]:
+    """Yield the documents of a directory or a line-delimited file, one at a time."""
+    for doc_id, text in _texts(source):
+        yield Document.from_text(doc_id, text)
 
 
 def load_corpus(source) -> Corpus:
-    """The Corpus of read_documents(source)."""
-    return Corpus(documents=tuple(read_documents(source)), source=os.fspath(Path(source)))
+    """The Corpus of read_documents(source), one str per distinct token."""
+    return _corpus(_texts(source), os.fspath(Path(source)))

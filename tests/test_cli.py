@@ -511,31 +511,32 @@ class TestEvaluate:
         assert "non-empty" in captured.err
 
 
-class TestExperimentCommands:
-    def build_exp_workspace(self, tmp_path):
-        (tmp_path / "g0.txt").write_text("alpha beta\ngamma\ndelta\n", encoding="utf-8")
-        (tmp_path / "g1.txt").write_text("epsilon\nzeta\neta theta\n", encoding="utf-8")
-        # every third doc carries two keyword species per glossary so both
-        # background models get nonzero score variance
-        bg = [f"filler words roll on and on segment {i} alpha beta gamma epsilon zeta"
-              if i % 3 == 0 else f"filler words roll on and on segment {i}"
-              for i in range(24)]
-        write_lines_file(tmp_path / "bg.txt", bg)
-        write_lines_file(tmp_path / "negs.txt",
-                         [f"noise document {i} alpha alpha alpha" if i % 5 == 0
-                          else f"noise document {i}" for i in range(20)])
-        write_lines_file(tmp_path / "p0.txt",
-                         [f"report {i} alpha beta gamma delta gamma delta" for i in range(8)])
-        write_lines_file(tmp_path / "p0b.txt",
-                         [f"shifted {i} alpha beta delta" for i in range(6)])
-        write_lines_file(tmp_path / "p1.txt",
-                         [f"report {i} epsilon zeta eta theta zeta" for i in range(8)])
-        write_lines_file(tmp_path / "p1b.txt",
-                         [f"shifted {i} epsilon eta theta" for i in range(6)])
-        return tmp_path
+def build_exp_workspace(tmp_path):
+    (tmp_path / "g0.txt").write_text("alpha beta\ngamma\ndelta\n", encoding="utf-8")
+    (tmp_path / "g1.txt").write_text("epsilon\nzeta\neta theta\n", encoding="utf-8")
+    # every third doc carries two keyword species per glossary so both
+    # background models get nonzero score variance
+    bg = [f"filler words roll on and on segment {i} alpha beta gamma epsilon zeta"
+          if i % 3 == 0 else f"filler words roll on and on segment {i}"
+          for i in range(24)]
+    write_lines_file(tmp_path / "bg.txt", bg)
+    write_lines_file(tmp_path / "negs.txt",
+                     [f"noise document {i} alpha alpha alpha" if i % 5 == 0
+                      else f"noise document {i}" for i in range(20)])
+    write_lines_file(tmp_path / "p0.txt",
+                     [f"report {i} alpha beta gamma delta gamma delta" for i in range(8)])
+    write_lines_file(tmp_path / "p0b.txt",
+                     [f"shifted {i} alpha beta delta" for i in range(6)])
+    write_lines_file(tmp_path / "p1.txt",
+                     [f"report {i} epsilon zeta eta theta zeta" for i in range(8)])
+    write_lines_file(tmp_path / "p1b.txt",
+                     [f"shifted {i} epsilon eta theta" for i in range(6)])
+    return tmp_path
 
+
+class TestExperimentCommands:
     def test_exp1_records_and_table(self, tmp_path, capsys):
-        ws = self.build_exp_workspace(tmp_path)
+        ws = build_exp_workspace(tmp_path)
         rc = main(["exp1", "--background", str(ws / "bg.txt"),
                    "--negatives", str(ws / "negs.txt"),
                    "--category", "cat0", str(ws / "g0.txt"), str(ws / "p0.txt"),
@@ -549,7 +550,7 @@ class TestExperimentCommands:
         assert "experiment exp1" in captured.err
 
     def test_exp1_k_beyond_64_bits_exits_1(self, tmp_path, capsys):
-        ws = self.build_exp_workspace(tmp_path)
+        ws = build_exp_workspace(tmp_path)
         rc = main(["exp1", "--background", str(ws / "bg.txt"),
                    "--negatives", str(ws / "negs.txt"),
                    "--category", "cat0", str(ws / "g0.txt"), str(ws / "p0.txt"),
@@ -560,7 +561,7 @@ class TestExperimentCommands:
         assert "k must be >= 1 and below 2**63" in captured.err
 
     def test_exp2_runs(self, tmp_path, capsys):
-        ws = self.build_exp_workspace(tmp_path)
+        ws = build_exp_workspace(tmp_path)
         rc = main(["exp2", "--background", str(ws / "bg.txt"),
                    "--negatives", str(ws / "negs.txt"),
                    "--category", "cat0", str(ws / "g0.txt"),
@@ -580,7 +581,7 @@ class TestExperimentCommands:
         (["--l2", "nan"], "l2 must be finite and >= 0"),
     ], ids=["flag-negative-rate", "flag-inf-rate", "flag-nan-l2"])
     def test_exp2_bad_lr_hyperparameters_exit_1(self, tmp_path, capsys, flags, message):
-        ws = self.build_exp_workspace(tmp_path)
+        ws = build_exp_workspace(tmp_path)
         rc = main(["exp2", "--background", str(ws / "bg.txt"),
                    "--negatives", str(ws / "negs.txt"),
                    "--category", "cat0", str(ws / "g0.txt"),
@@ -593,7 +594,7 @@ class TestExperimentCommands:
         assert "diverged" not in captured.err
 
     def test_exp2_divergence_exits_1_without_warning(self, tmp_path, capsys):
-        ws = self.build_exp_workspace(tmp_path)
+        ws = build_exp_workspace(tmp_path)
         rc = main(["exp2", "--background", str(ws / "bg.txt"),
                    "--negatives", str(ws / "negs.txt"),
                    "--category", "cat0", str(ws / "g0.txt"),
@@ -613,7 +614,7 @@ class TestExperimentCommands:
     ], ids=["exp1-empty-a", "exp2-one-doc-a", "exp2-empty-b"])
     def test_too_small_category_corpus_exits_1_naming_it(self, tmp_path, capsys, command,
                                                          a_lines, b_lines, corpus):
-        ws = self.build_exp_workspace(tmp_path)
+        ws = build_exp_workspace(tmp_path)
         a_path = write_lines_file(ws / "small_a.txt", a_lines)
         category = ["--category", "cat0", str(ws / "g0.txt"), str(a_path)]
         if b_lines is not None:
@@ -629,7 +630,7 @@ class TestExperimentCommands:
         assert small in captured.err
 
     def test_exp1_output_file(self, tmp_path):
-        ws = self.build_exp_workspace(tmp_path)
+        ws = build_exp_workspace(tmp_path)
         out_file = ws / "records.txt"
         rc = main(["exp1", "--background", str(ws / "bg.txt"),
                    "--negatives", str(ws / "negs.txt"),
@@ -638,6 +639,105 @@ class TestExperimentCommands:
                    "--output", str(out_file)])
         assert rc == 0
         assert out_file.read_text(encoding="utf-8").startswith("report exp1\n")
+
+
+EXP_CORPORA = {"background": "bg.txt", "negatives": "negs.txt", "A": "p0.txt", "B": "p0b.txt"}
+
+
+def _as_directory(ws, role):
+    """The role's corpus as a directory whose second half sits in sub/."""
+    lines = (ws / EXP_CORPORA[role]).read_text(encoding="utf-8").splitlines()
+    half = len(lines) // 2
+    return write_corpus_dir(ws / f"dir-{role}", {
+        **{f"a{i:02d}.txt": text for i, text in enumerate(lines[:half])},
+        **{f"sub/b{i:02d}.txt": text for i, text in enumerate(lines[half:])}})
+
+
+def _missing(ws, monkeypatch, role):
+    path = ws / "missing.txt"
+    return path, 2, f"cannot read {path}: "
+
+
+def _unlistable(ws, monkeypatch, role):
+    corpus = _as_directory(ws, role)
+    refuse_scandir(monkeypatch, corpus / "sub")
+    return corpus, 2, f"cannot read {corpus / 'sub'}: Permission denied"
+
+
+def _path_stat_refused(ws, monkeypatch, role):
+    path = ws / EXP_CORPORA[role]
+    refuse_stat(monkeypatch, path)
+    return path, 2, f"cannot read {path}: Permission denied"
+
+
+def _entry_stat_refused(ws, monkeypatch, role):
+    corpus = _as_directory(ws, role)
+    refuse_stat(monkeypatch, corpus / "sub" / "b01.txt")
+    return corpus, 2, f"cannot read {corpus / 'sub' / 'b01.txt'}: Permission denied"
+
+
+def _late_bad_utf8(ws, monkeypatch, role):
+    good = (ws / EXP_CORPORA[role]).read_bytes()
+    path = ws / f"bad-{role}.txt"
+    path.write_bytes(good + b"\xff\xfe late\n")
+    return path, 1, f"document {len(good.splitlines()) + 1:06d}: not valid UTF-8"
+
+
+CORPUS_FAULTS = {"missing": _missing, "unlistable-dir": _unlistable,
+                 "path-stat-refused": _path_stat_refused,
+                 "entry-stat-refused": _entry_stat_refused, "late-bad-utf8": _late_bad_utf8}
+
+
+class TestExperimentErrorMatrix:
+    """A fault in any corpus of exp1 or exp2 exits with its code, prints
+    nothing to stdout and one error line to stderr, and leaves the --output
+    file as it was with no temp file beside it. The corpora are read in the
+    order background, negatives, then per category A and B: of two faults,
+    the first in that order decides."""
+
+    @staticmethod
+    def run(ws, command, corpora):
+        paths = {role: ws / name for role, name in EXP_CORPORA.items()} | corpora
+        category = ["--category", "cat0", str(ws / "g0.txt"), str(paths["A"])]
+        if command == "exp2":
+            category.append(str(paths["B"]))
+        return main([command, "--background", str(paths["background"]),
+                     "--negatives", str(paths["negatives"]), *category,
+                     "--target-fpr", "0.1", "--k", "10", "--output", str(ws / "out.txt")])
+
+    @staticmethod
+    def assert_refused(ws, capsys, rc, code, message):
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert message in line
+        assert (ws / "out.txt").read_text(encoding="utf-8") == "previous output\n"
+        assert list(ws.glob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("fault", CORPUS_FAULTS)
+    @pytest.mark.parametrize("command,role", [
+        (command, role) for command in ("exp1", "exp2")
+        for role in EXP_CORPORA if command == "exp2" or role != "B"])
+    def test_corpus_fault(self, tmp_path, capsys, monkeypatch, command, role, fault):
+        ws = build_exp_workspace(tmp_path)
+        (ws / "out.txt").write_text("previous output\n", encoding="utf-8")
+        path, code, message = CORPUS_FAULTS[fault](ws, monkeypatch, role)
+        rc = self.run(ws, command, {role: path})
+        self.assert_refused(ws, capsys, rc, code, message)
+
+    @pytest.mark.parametrize("command,late,missing", [
+        ("exp2", "background", "B"),
+        ("exp1", "negatives", "A"),
+    ], ids=["exp2-background+missing-B", "exp1-negatives+missing-A"])
+    def test_two_faults_first_in_reading_order_decides(self, tmp_path, capsys, monkeypatch,
+                                                       command, late, missing):
+        ws = build_exp_workspace(tmp_path)
+        (ws / "out.txt").write_text("previous output\n", encoding="utf-8")
+        bad, code, message = _late_bad_utf8(ws, monkeypatch, late)
+        rc = self.run(ws, command, {late: bad, missing: ws / "missing.txt"})
+        self.assert_refused(ws, capsys, rc, code, message)
 
 
 class TestVerifyTablesCommand:

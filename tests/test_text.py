@@ -1,5 +1,8 @@
 import os
+import random
 import string
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -233,3 +236,56 @@ class TestReadDocuments:
                 == [(d.id, d.raw_text, d.tokens) for d in load_corpus(base)]
                 == [("b.txt", "beta doc\n", ("beta", "doc")),
                     ("sub/a.txt", "alpha\r\ndoc", ("alpha", "doc"))])
+
+
+def assert_equal_tokens_shared(corpus):
+    """Equal tokens anywhere in the corpus are one object."""
+    first = {}
+    for doc in corpus:
+        for token in doc.tokens:
+            assert first.setdefault(token, token) is token, (doc.id, token)
+
+
+class TestSharedTokens:
+    TEXTS = ["Tax return filed", "the TAX return, audited", "return of the audit tax"]
+
+    def test_line_file_shares_equal_tokens(self, tmp_path):
+        corpus = load_corpus(write_lines_file(tmp_path / "c.txt", self.TEXTS))
+        assert [d.tokens[:2] for d in corpus] == [("tax", "return"), ("the", "tax"),
+                                                  ("return", "of")]
+        assert_equal_tokens_shared(corpus)
+
+    def test_directory_shares_equal_tokens(self, tmp_path):
+        base = write_corpus_dir(tmp_path, {f"sub/d{i}.txt" if i else "d0.txt": text
+                                           for i, text in enumerate(self.TEXTS)})
+        corpus = load_corpus(base)
+        assert len(corpus) == 3
+        assert_equal_tokens_shared(corpus)
+
+    def test_corpus_from_texts_shares_equal_tokens(self):
+        corpus = corpus_from_texts(self.TEXTS)
+        assert corpus.documents[2].tokens == ("return", "of", "the", "audit", "tax")
+        assert_equal_tokens_shared(corpus)
+
+
+def test_load_corpus_keeps_a_pointer_per_token(tmp_path):
+    """A loaded corpus's tracemalloc peak, net of its raw text, grows by at
+    most 16 bytes per added token over a 2000-word vocabulary: the token's
+    slot in its document's tuple, not a str of its own (about 60 bytes)."""
+    rng = random.Random(5)
+    vocab = [f"word{i}" for i in range(2000)]
+    net, tokens = {}, {}
+    for n in (200, 800):
+        path = write_lines_file(tmp_path / f"c{n}.txt", [
+            " ".join(rng.choices(vocab, k=250)) for _ in range(n)])
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        net[n] = peak - sum(sys.getsizeof(d.raw_text) for d in corpus)
+        tokens[n] = sum(len(d.tokens) for d in corpus)
+        del corpus
+    per_token = (net[800] - net[200]) / (tokens[800] - tokens[200])
+    assert per_token <= 16, per_token
