@@ -13,8 +13,10 @@ mean logistic loss plus (l2/2)||w||^2 with the intercept unregularized: no
 shuffling, no adaptive rates, so identical inputs give identical weights bit
 for bit. Each epoch calls logistic_gradient and logistic_loss once; the loss
 at the new weights and the next epoch's gradient share one product X @ w
-(_EpochMatrix). The loss takes one logaddexp per row, its sign set by the
-0/1 label, and the sigmoid one exp(-|z|).
+(_EpochMatrix), whose X.T is a CSC view of X when features outnumber
+documents (as exp2's few positives make it on real text) and a CSR transpose
+made once otherwise. The loss takes one logaddexp per row, its sign set by
+the 0/1 label, and the sigmoid one exp(-|z|).
 
 A corpus is scored as one product, _design_matrix(docs) @ w + intercept, the
 same product training takes (lr_logit), with the docs encoded straight over
@@ -191,15 +193,17 @@ def logistic_gradient(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
 
 
 class _EpochMatrix:
-    """train_lr's design matrix as logistic_loss and logistic_gradient use it:
-    X.T is transposed once, and the last product X @ w is kept for as long as
-    w is the same array. The loop binds a new w every epoch and never writes
-    into one, so the loss at w and the next epoch's gradient at w share one
-    product."""
+    """train_lr's design matrix as logistic_loss and logistic_gradient use it.
+    T is scipy's CSC view of X's own arrays when features outnumber documents
+    (a scatter over documents), else one CSR copy of X.T (a sum per feature):
+    each adds a feature's terms in document order from 0.0, so both give the
+    same bits. The last product X @ w is kept for as long as w is the same
+    array. The loop binds a new w every epoch and never writes into one, so
+    the loss at w and the next epoch's gradient at w share one product."""
 
     def __init__(self, X: sparse.csr_matrix):
         self._X = X
-        self.T = X.T.tocsr()
+        self.T = X.T if X.shape[1] > X.shape[0] else X.T.tocsr()
         self._w = self._product = None
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:

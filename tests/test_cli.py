@@ -338,6 +338,73 @@ class TestTwoFaultPrecedence:
         assert {name: (workspace / name).read_bytes() for name in before} == before
 
 
+def _missing_file(ws):
+    path = ws / "missing-file.txt"
+    return path, 2, f"cannot read {path}: "
+
+
+def _directory_file(ws):
+    path = ws / "a-directory"
+    path.mkdir()
+    return path, 2, f"cannot read {path}: "
+
+
+def _model_not_utf8(ws):
+    path = ws / "bad-model.txt"
+    path.write_bytes((ws / "model.txt").read_bytes() + b"\xff\n")
+    return path, 1, f"model file {path}: not valid UTF-8"
+
+
+class TestKbFileFaults:
+    """calibrate, score and evaluate with a model that will not load or an
+    --output in a missing directory: the exit code, nothing on stdout, one
+    error line, the model and the --output file as they were, no temp file."""
+
+    @staticmethod
+    def run(ws, command, overrides):
+        args = {flag: ws / name for flag, name in TestTwoFaultPrecedence.BASE[command].items()}
+        return main([command, *(str(a) for item in (args | overrides).items() for a in item)])
+
+    @staticmethod
+    def assert_refused(ws, capsys, rc, code, message, model_bytes):
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert message in line
+        if model_bytes is not None:
+            assert (ws / "model.txt").read_bytes() == model_bytes
+        assert (ws / "out.txt").read_text(encoding="utf-8") == "previous output\n"
+        assert list(ws.rglob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("fault", [_missing_file, _directory_file, _model_not_utf8],
+                             ids=["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("command", ["calibrate", "score", "evaluate"])
+    def test_model_fault(self, workspace, capsys, command, fault):
+        run_train(workspace)
+        (workspace / "out.txt").write_text("previous output\n", encoding="utf-8")
+        before = (workspace / "model.txt").read_bytes()
+        path, code, message = fault(workspace)
+        capsys.readouterr()
+        rc = self.run(workspace, command, {"--model": path})
+        self.assert_refused(workspace, capsys, rc, code, message, before)
+
+    @pytest.mark.parametrize("command", ["calibrate", "score", "evaluate"])
+    def test_missing_output_directory_exits_2(self, workspace, capsys, command):
+        run_train(workspace)
+        (workspace / "out.txt").write_text("previous output\n", encoding="utf-8")
+        before = (workspace / "model.txt").read_bytes()
+        capsys.readouterr()
+        out = workspace / "nodir" / "out.txt"
+        rc = self.run(workspace, command, {"--output": out})
+        # calibrate rewrites the model's bias before it writes its report, so
+        # its model is not compared.
+        self.assert_refused(workspace, capsys, rc, 2, f"cannot write {out}: ",
+                            None if command == "calibrate" else before)
+        assert not out.parent.exists()
+
+
 def test_kb_commands_hold_one_document_at_a_time(tmp_path, capsys):
     """Each KB command's tracemalloc peak grows by at most 1 KB per added
     document: it keeps a document's match profile, score or output line,
@@ -683,6 +750,28 @@ def _late_bad_utf8(ws, monkeypatch, role):
     return path, 1, f"document {len(good.splitlines()) + 1:06d}: not valid UTF-8"
 
 
+def _empty_glossary(ws):
+    path = ws / "empty-glossary.txt"
+    path.write_text("# only a comment\n\n", encoding="utf-8")
+    return path, 1, f"glossary {path}: no keyword phrases found"
+
+
+def _bad_utf8_glossary(ws):
+    path = ws / "bad-glossary.txt"
+    path.write_bytes(b"alpha beta\n\xff\xfe\n")
+    return path, 1, f"glossary {path}: not valid UTF-8"
+
+
+def _tokenless_glossary_line(ws):
+    path = ws / "tokenless-glossary.txt"
+    path.write_text("alpha beta\n!!! ---\n", encoding="utf-8")
+    return path, 1, f"glossary {path}: line 2 contains no alphanumeric tokens"
+
+
+GLOSSARY_FAULTS = {"missing": _missing_file, "directory": _directory_file,
+                   "empty": _empty_glossary, "not-utf8": _bad_utf8_glossary,
+                   "tokenless-line": _tokenless_glossary_line}
+
 CORPUS_FAULTS = {"missing": _missing, "unlistable-dir": _unlistable,
                  "path-stat-refused": _path_stat_refused,
                  "entry-stat-refused": _entry_stat_refused, "late-bad-utf8": _late_bad_utf8}
@@ -692,18 +781,29 @@ class TestExperimentErrorMatrix:
     """A fault in any corpus of exp1 or exp2 exits with its code, prints
     nothing to stdout and one error line to stderr, and leaves the --output
     file as it was with no temp file beside it. The corpora are read in the
-    order background, negatives, then per category A and B: of two faults,
-    the first in that order decides."""
+    order background, negatives, then per category its glossary, A and B, and
+    the configuration is checked after all of them: of two faults, the first
+    in that order decides."""
 
     @staticmethod
-    def run(ws, command, corpora):
-        paths = {role: ws / name for role, name in EXP_CORPORA.items()} | corpora
-        category = ["--category", "cat0", str(ws / "g0.txt"), str(paths["A"])]
-        if command == "exp2":
-            category.append(str(paths["B"]))
+    def run(ws, command, corpora, second=None, output="out.txt"):
+        """corpora overrides cat0's paths by role (its glossary too); second,
+        as (name, overrides), adds a category over g1.txt, p1.txt and p1b.txt."""
+        paths = {"glossary": ws / "g0.txt",
+                 **{role: ws / name for role, name in EXP_CORPORA.items()}} | corpora
+        categories = [("cat0", paths)]
+        if second is not None:
+            name, overrides = second
+            categories.append((name, {"glossary": ws / "g1.txt", "A": ws / "p1.txt",
+                                      "B": ws / "p1b.txt"} | overrides))
+        args = []
+        for name, category in categories:
+            args += ["--category", name, str(category["glossary"]), str(category["A"])]
+            if command == "exp2":
+                args.append(str(category["B"]))
         return main([command, "--background", str(paths["background"]),
-                     "--negatives", str(paths["negatives"]), *category,
-                     "--target-fpr", "0.1", "--k", "10", "--output", str(ws / "out.txt")])
+                     "--negatives", str(paths["negatives"]), *args,
+                     "--target-fpr", "0.1", "--k", "10", "--output", str(ws / output)])
 
     @staticmethod
     def assert_refused(ws, capsys, rc, code, message):
@@ -738,6 +838,50 @@ class TestExperimentErrorMatrix:
         bad, code, message = _late_bad_utf8(ws, monkeypatch, late)
         rc = self.run(ws, command, {late: bad, missing: ws / "missing.txt"})
         self.assert_refused(ws, capsys, rc, code, message)
+
+    @pytest.mark.parametrize("fault", GLOSSARY_FAULTS)
+    @pytest.mark.parametrize("command", ["exp1", "exp2"])
+    def test_glossary_fault(self, tmp_path, capsys, command, fault):
+        ws = build_exp_workspace(tmp_path)
+        (ws / "out.txt").write_text("previous output\n", encoding="utf-8")
+        path, code, message = GLOSSARY_FAULTS[fault](ws)
+        rc = self.run(ws, command, {"glossary": path})
+        self.assert_refused(ws, capsys, rc, code, message)
+
+    @pytest.mark.parametrize("command", ["exp1", "exp2"])
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys, command):
+        ws = build_exp_workspace(tmp_path)
+        (ws / "out.txt").write_text("previous output\n", encoding="utf-8")
+        rc = self.run(ws, command, {}, output="nodir/out.txt")
+        self.assert_refused(ws, capsys, rc, 2, f"cannot write {ws / 'nodir' / 'out.txt'}: ")
+        assert not (ws / "nodir").exists()
+
+    def test_glossary_before_b(self, tmp_path, capsys):
+        # exp2 reads a category's glossary before its A and B corpora.
+        ws = build_exp_workspace(tmp_path)
+        (ws / "out.txt").write_text("previous output\n", encoding="utf-8")
+        empty, code, message = _empty_glossary(ws)
+        rc = self.run(ws, "exp2", {"glossary": empty, "B": ws / "missing.txt"})
+        self.assert_refused(ws, capsys, rc, code, message)
+
+    def test_first_category_before_second_glossary(self, tmp_path, capsys):
+        # Category cat0's corpora are read before cat1's glossary.
+        ws = build_exp_workspace(tmp_path)
+        (ws / "out.txt").write_text("previous output\n", encoding="utf-8")
+        empty, _, _ = _empty_glossary(ws)
+        missing = ws / "missing.txt"
+        rc = self.run(ws, "exp2", {"A": missing}, second=("cat1", {"glossary": empty}))
+        self.assert_refused(ws, capsys, rc, 2, f"cannot read {missing}: ")
+
+    def test_corpora_before_config_validation(self, tmp_path, capsys):
+        # A duplicate category name is found only after every corpus is read.
+        ws = build_exp_workspace(tmp_path)
+        (ws / "out.txt").write_text("previous output\n", encoding="utf-8")
+        missing = ws / "missing.txt"
+        rc = self.run(ws, "exp1", {}, second=("cat0", {"A": missing}))
+        self.assert_refused(ws, capsys, rc, 2, f"cannot read {missing}: ")
+        rc = self.run(ws, "exp1", {}, second=("cat0", {}))
+        self.assert_refused(ws, capsys, rc, 1, "duplicate category name: cat0")
 
 
 class TestVerifyTablesCommand:
@@ -774,6 +918,35 @@ class TestVerifyTablesCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "a record is one line" in captured.err
+
+    @pytest.mark.parametrize("fault,code,message", [
+        ("directory", 2, "cannot read {table}: "),
+        ("not-utf8", 1, "table file {table}: not valid UTF-8"),
+        ("empty", 1, "table file {table}: truncated header"),
+        ("missing-output-dir", 2, "cannot write {out}: "),
+    ])
+    def test_file_fault(self, tmp_path, capsys, fault, code, message):
+        # The exit code, nothing on stdout, one error line, the --output file
+        # as it was and no temp file.
+        good = b"format_version 1\nkind recall_pair\nrow a 0.2 0.4\nrow b 0.4 0.6\n"
+        table, out = tmp_path / "t.txt", tmp_path / "out.txt"
+        out.write_text("previous output\n", encoding="utf-8")
+        if fault == "directory":
+            table.mkdir()
+        else:
+            table.write_bytes({"not-utf8": good + b"row \xff 0.1 0.2\n", "empty": b""}.get(
+                fault, good))
+        if fault == "missing-output-dir":
+            out = tmp_path / "nodir" / "out.txt"
+        rc = main(["verify-tables", "--golden-tables", str(table), "--output", str(out)])
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert message.format(table=table, out=out) in line
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "previous output\n"
+        assert list(tmp_path.rglob(".*.tmp")) == []
 
     def test_missing_table_is_io_error(self, tmp_path, capsys):
         rc = main(["verify-tables", "--golden-tables", str(tmp_path / "nope.txt")])

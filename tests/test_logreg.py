@@ -13,6 +13,7 @@ from entropy_classifier.logreg import (
     LrModel,
     LrParams,
     _design_matrix,
+    _EpochMatrix,
     _sigmoid_vec,
     build_vocabulary,
     calibrate_lr_threshold,
@@ -85,6 +86,16 @@ def make_training_corpora():
         "awful poor bad pick",
         "poor bad awful words",
     ], source="<neg>")
+    return pos, neg
+
+
+def make_tall_corpora():
+    """40 documents over 6 features."""
+    rng = random.Random(17)
+    pos = corpus_from_texts([" ".join(rng.choices(["good", "great", "fine", "pick"], k=6))
+                             for _ in range(20)], source="<pos>")
+    neg = corpus_from_texts([" ".join(rng.choices(["bad", "awful", "fine", "pick"], k=6))
+                             for _ in range(20)], source="<neg>")
     return pos, neg
 
 
@@ -216,6 +227,41 @@ class TestKernelsEqualTheirReferenceForms:
             assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+@st.composite
+def transpose_cases(draw):
+    """(matrix shape, {(row, column): non-zero value}, residual vector)."""
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(0, 12))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        st.floats(-1e3, 1e3, allow_nan=False).filter(bool),
+        max_size=n_rows * n_cols)) if n_cols else {}
+    residual = draw(st.lists(st.floats(-1e300, 1e300, allow_nan=False),
+                             min_size=n_rows, max_size=n_rows))
+    return (n_rows, n_cols), cells, residual
+
+
+class TestEpochMatrixTranspose:
+    @settings(max_examples=300, deadline=None)
+    @given(transpose_cases())
+    @example(((3, 7), {(0, 1): 0.5, (2, 6): 0.25}, [0.5, -1.5, 2.0]))
+    @example(((7, 3), {(1, 0): 0.5, (6, 2): 0.25}, [0.5, -1.5, 2.0, 0.0, -0.0, 1e-310, 3.0]))
+    @example(((4, 4), {(0, 0): 1.0, (3, 3): 0.5, (3, 0): 0.125}, [0.1, 0.2, 0.3, 0.4]))
+    @example(((5, 0), {}, [1.0, 2.0, 3.0, 4.0, 5.0]))
+    @example(((1, 6), {}, [-1.0]))
+    def test_product_equals_the_csr_transpose(self, case):
+        # Wide matrices take the CSC view, tall and square ones the CSR copy;
+        # either must add each feature's terms in the order the CSR copy does.
+        # A dense array's CSR is canonical: sorted, no duplicates or zeros.
+        shape, cells, residual = case
+        dense = np.zeros(shape)
+        for (i, j), v in cells.items():
+            dense[i, j] = v
+        X, r = sparse.csr_matrix(dense), np.array(residual)
+        T = _EpochMatrix(X).T
+        assert (T.format == "csc") == (shape[1] > shape[0])
+        assert (T @ r).tobytes() == (X.T.tocsr() @ r).tobytes()
+
+
 class TestTrainLr:
     def test_learns_separable_toy(self):
         pos, neg = make_training_corpora()
@@ -253,11 +299,17 @@ class TestTrainLr:
     ])
     def test_weights_equal_the_plain_loop(self, params):
         # train_lr shares one X @ w between an epoch's loss and the next
-        # gradient; a stale product would change the weights.
-        pos, neg = make_training_corpora()
-        want, diverged = train_lr_reference(pos, neg, params)
-        assert diverged is None
-        assert np.array_equal(train_lr(pos, neg, params).weights, want)
+        # gradient; a stale product would change the weights. Its X.T is a
+        # CSC view of a wide matrix (the toy) and a CSR transpose of a tall
+        # one, while the reference always takes the bare matrix's CSC view:
+        # both layouts must give the same bits.
+        for make, shape in [(make_training_corpora, (8, 11)), (make_tall_corpora, (40, 6))]:
+            pos, neg = make()
+            docs = list(pos) + list(neg)
+            assert _design_matrix(docs, build_vocabulary(docs)).shape == shape
+            want, diverged = train_lr_reference(pos, neg, params)
+            assert diverged is None
+            assert np.array_equal(train_lr(pos, neg, params).weights, want), make.__name__
 
     def test_divergence_reported(self):
         # The one-logaddexp loss must stop being finite at the epoch where the
