@@ -58,6 +58,7 @@ def calibrate_fpr(model: BackgroundModel, glossary: Glossary, negatives: Documen
     return replace(model, bias=bias), achieved_fpr
 
 
-def measure_fpr(model: BackgroundModel, glossary: Glossary, negatives: Documents) -> float:
-    """Fraction of negatives the model classifies positive (y >= 0.5)."""
-    return recall(standardized_scores(negatives, glossary, model), model.bias)
+def measure_fpr(model: BackgroundModel, glossary: Glossary, corpus: Documents) -> float:
+    """Fraction of the corpus the model classifies positive (y >= 0.5): the
+    FPR of negatives, the recall of positives."""
+    return recall(standardized_scores(corpus, glossary, model), model.bias)

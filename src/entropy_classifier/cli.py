@@ -126,13 +126,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        records.write_text(output, text)
-
-
 def _n_docs(glossary, corpus) -> str:
     """How many documents of a read corpus the glossary matched, with no second read."""
     return str(len(match_corpus(glossary, corpus)))
@@ -166,9 +159,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         report = [("achieved_fpr", format_float(achieved_fpr)),
                   ("target_fpr", format_float(args.target_fpr)),
                   ("n_negatives", _n_docs(glossary, negatives))]
+    text = records.render([("bias", format_float(updated.bias)), *report])
     # The model checked the bias, so the file gets only a bias it will load.
-    rewrite_bias_line(args.model, updated.bias)
-    _emit(records.render([("bias", format_float(updated.bias)), *report]), args.output)
+    # An --output report is staged first: a fault writing it keeps the model.
+    with records.staged(args.output, text):
+        rewrite_bias_line(args.model, updated.bias)
     return 0
 
 
@@ -190,24 +185,21 @@ def _cmd_score(args: argparse.Namespace) -> int:
             fields.append("; ".join(f"{glossary.phrase_text(kid)}={format_float(v)}"
                                     for kid, v in b.per_keyword.items()))
         lines.append("\t".join(fields))
-    _emit("\n".join(lines) + "\n", args.output)
+    records.write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     glossary = load_glossary(args.glossary)
-    positives = read_documents(args.positives)
-    r = recall(standardized_scores(positives, glossary, model), model.bias)
-    pairs = [("recall", format_float(r)), ("n_positives", _n_docs(glossary, positives))]
-    # The glossary keeps a stream's match list while the stream lives: drop
-    # the positives' before the negatives are read.
-    del positives
+    scores = standardized_scores(read_documents(args.positives), glossary, model)
+    pairs = [("recall", format_float(recall(scores, model.bias))),
+             ("n_positives", str(len(scores)))]
     if args.negatives is not None:
         negatives = read_documents(args.negatives)
         fpr = measure_fpr(model, glossary, negatives)
         pairs += [("fpr", format_float(fpr)), ("n_negatives", _n_docs(glossary, negatives))]
-    _emit(records.render(pairs), args.output)
+    records.write_text(args.output, records.render(pairs))
     return 0
 
 
@@ -240,14 +232,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     with_b = args.command == "exp2"
     run = run_experiment2 if with_b else run_experiment1
     report = run(_experiment_config(args, with_b))
-    _emit(render_records(report), args.output)
+    records.write_text(args.output, render_records(report))
     print(render_table(report), file=sys.stderr, end="")
     return 0
 
 
 def _cmd_verify_tables(args: argparse.Namespace) -> int:
     reports = [verify_table(path) for path in args.tables or bundled_golden_paths()]
-    _emit("".join(map(render_table_report, reports)), args.output)
+    records.write_text(args.output, "".join(map(render_table_report, reports)))
     if not all(report.all_passed for report in reports):
         print("error: one or more table checks failed", file=sys.stderr)
         return 1

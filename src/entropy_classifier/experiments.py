@@ -17,7 +17,8 @@ encodes the background and the negatives once (logreg._encode), and every
 category's train_lr and calibrate_lr_threshold share them. Each row's FPR on
 the negatives is the one calibration achieved: calibrate_fpr and
 calibrate_lr_threshold each return (thresholded model, achieved FPR), so no
-classifier scores the negatives twice.
+classifier scores the negatives twice. A knowledge-based recall is
+calibration.measure_fpr of the positives: the rate of any corpus.
 
 verify_tables recomputes aggregates from bundled golden recall tables and
 checks them against the expectations recorded in the files themselves. A
@@ -39,17 +40,15 @@ from pathlib import Path
 
 from . import records
 from .background import train
-from .calibration import calibrate_fpr
+from .calibration import calibrate_fpr, measure_fpr
 from .errors import ValidationError
 from .glossary import Glossary, _match_corpora
 from .logreg import LrParams, _encode, calibrate_lr_threshold, lr_logit, train_lr
 from .model import BackgroundModel
 from .records import format_float
-from .scoring import standardized_scores
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches
-# score_document, measure_fpr, lr_decision and lr_measure_fpr under this
-# module's name, so the names must stay bound.
-from .calibration import measure_fpr  # noqa: F401
+# score_document, lr_decision and lr_measure_fpr under this module's name, so
+# the names must stay bound.
 from .logreg import lr_decision, lr_measure_fpr  # noqa: F401
 from .scoring import score_document  # noqa: F401
 from .stats import AnovaResult, fractional_change, one_way_anova, recall
@@ -137,10 +136,6 @@ def _calibrated_kb(spec: CategorySpec, config: ExperimentConfig,
     return calibrate_fpr(model, spec.glossary, config.negatives, config.target_fpr)
 
 
-def _kb_recall(model: BackgroundModel, glossary: Glossary, positives: Corpus) -> float:
-    return recall(standardized_scores(positives, glossary, model), model.bias)
-
-
 def _add_fractional_change(changes: list[float], recall_a: float, recall_b: float,
                            label: str, warnings: list[str]) -> float | None:
     """Append the fractional change to changes and return it; at a zero
@@ -187,7 +182,7 @@ def run_experiment1(config: ExperimentConfig) -> EvalReport:
     for spec in config.categories:
         plain, fpr_plain = _calibrated_kb(spec, config, entropy_weighted=False)
         entropy, fpr_entropy = _calibrated_kb(spec, config)
-        r_plain, r_entropy = (_kb_recall(m, spec.glossary, spec.positives)
+        r_plain, r_entropy = (measure_fpr(m, spec.glossary, spec.positives)
                               for m in (plain, entropy))
         rows[spec.name] = CategoryEval(
             recall_a=r_plain, recall_b=r_entropy, fpr_a=fpr_plain, fpr_b=fpr_entropy,
@@ -233,7 +228,7 @@ def run_experiment2(config: ExperimentConfig) -> EvalReport:
         lr, lr_fpr = calibrate_lr_threshold(train_lr(a_train, background, config.lr),
                                             negatives, config.target_fpr)
         lr_ra, lr_rb = (recall(lr_logit(lr, c), lr.threshold_bias) for c in (a_eval, corpus_b))
-        kb_ra, kb_rb = (_kb_recall(kb, spec.glossary, c) for c in (a_eval, corpus_b))
+        kb_ra, kb_rb = (measure_fpr(kb, spec.glossary, c) for c in (a_eval, corpus_b))
         for label, ra, rb, fpr in (("lr", lr_ra, lr_rb, lr_fpr), ("kb", kb_ra, kb_rb, kb_fpr)):
             name = f"{spec.name}/{label}"
             rows[name] = CategoryEval(
@@ -247,23 +242,28 @@ def run_experiment2(config: ExperimentConfig) -> EvalReport:
                    "fewer than 2 fractional changes per classifier: ANOVA omitted", warnings)
 
 
-def _fmt_opt(value, digits: int | None = None) -> str:
+# (CategoryEval field and record key, table heading, table width) of each column.
+_COLUMNS = (("recall_a", "recall_a", 8), ("recall_b", "recall_b", 8), ("fpr_a", "fpr_a", 8),
+            ("fpr_b", "fpr_b", 8), ("n_pos_a", "n_pos_a", 7), ("n_pos_b", "n_pos_b", 7),
+            ("n_neg", "n_neg", 6), ("fractional_change", "frac_chg", 9))
+
+
+def _cell(value, table: bool = False) -> str:
+    """na for None, an int as it is, a float at 17 significant digits or 4 decimals."""
     if value is None:
         return "na"
-    if digits is None:
-        return format_float(value)
-    return f"{value:.{digits}f}"
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.4f}" if table else format_float(value)
 
 
 def render_records(report: EvalReport) -> str:
     """Machine-readable line records, floats at 17 significant digits."""
     pairs = [("report", report.experiment), ("k", str(report.k)),
              ("target_fpr", format_float(report.target_fpr))]
-    for name, row in report.per_category.items():
-        pairs.append(("category", f"{name} recall_a {format_float(row.recall_a)} "
-                      f"recall_b {format_float(row.recall_b)} fpr_a {format_float(row.fpr_a)} "
-                      f"fpr_b {_fmt_opt(row.fpr_b)} n_pos_a {row.n_pos_a} n_pos_b {row.n_pos_b} "
-                      f"n_neg {row.n_neg} fractional_change {_fmt_opt(row.fractional_change)}"))
+    pairs += [("category", " ".join([name, *(f"{key} {_cell(getattr(row, key))}"
+                                             for key, _, _ in _COLUMNS)]))
+              for name, row in report.per_category.items()]
     pairs += [("aggregate", f"{key} {format_float(value)}")
               for key, value in report.aggregate.items()]
     if report.anova is not None:
@@ -277,19 +277,13 @@ def render_records(report: EvalReport) -> str:
 def render_table(report: EvalReport) -> str:
     """Human-readable aligned table, 4 digits."""
     name_w = max([len("category")] + [len(n) for n in report.per_category])
-    header = (
-        f"{'category':<{name_w}}  {'recall_a':>8}  {'recall_b':>8}  "
-        f"{'fpr_a':>8}  {'fpr_b':>8}  {'n_pos_a':>7}  {'n_pos_b':>7}  "
-        f"{'n_neg':>6}  {'frac_chg':>9}"
-    )
+    header = "  ".join([f"{'category':<{name_w}}",
+                        *(f"{heading:>{width}}" for _, heading, width in _COLUMNS)])
     lines = [f"experiment {report.experiment} (k={report.k}, target_fpr={report.target_fpr:g})",
              header, "-" * len(header)]
-    for name, row in report.per_category.items():
-        lines.append(
-            f"{name:<{name_w}}  {row.recall_a:>8.4f}  {row.recall_b:>8.4f}  "
-            f"{row.fpr_a:>8.4f}  {_fmt_opt(row.fpr_b, 4):>8}  {row.n_pos_a:>7}  {row.n_pos_b:>7}  "
-            f"{row.n_neg:>6}  {_fmt_opt(row.fractional_change, 4):>9}"
-        )
+    lines += ["  ".join([f"{name:<{name_w}}", *(f"{_cell(getattr(row, key), True):>{width}}"
+                                                for key, _, width in _COLUMNS)])
+              for name, row in report.per_category.items()]
     for key, value in report.aggregate.items():
         lines.append(f"{key} = {value:.6f}")
     if report.anova is not None:

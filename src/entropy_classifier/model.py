@@ -1,17 +1,10 @@
 """Trained background model: state, persistence, and the model file format.
 
-A model file holds these line records (format in records.py), in this order,
-after the `format_version 1` record that every record file starts with:
-
-    category <string>
-    glossary_digest <hex>
-    n_docs <int>
-    k <int>
-    mu <decimal>
-    sigma <decimal>
-    bias <decimal>
-    kw <id> <df> <phrase tokens joined by spaces>   (one per keyword, id order)
-
+A model file holds line records (format in records.py): the `format_version 1`
+record that every record file starts with, the header records that _HEAD
+declares, in its order, then `kw <id> <df> <phrase tokens joined by spaces>`,
+one per keyword in id order. _HEAD is the header's one declaration: save_model
+writes and load_model reads each value through its (writer, reader) pair.
 Floats are written with 17 significant digits, which round-trips binary64
 exactly, so a saved model scores byte-for-byte like the in-memory one.
 
@@ -100,6 +93,13 @@ def idf_from_df(df: int, n_docs: int) -> float:
     return math.log((n_docs + 1) / (df + 1)) + 1.0
 
 
+# Each header record's key, in file order, and the (writer, reader) of its value.
+_TEXT = (str, lambda label, key, value: value)
+_INT, _FLOAT = (str, records.to_int), (records.format_float, records.to_float)
+_HEAD = {"category": _TEXT, "glossary_digest": _TEXT, "n_docs": _INT, "k": _INT,
+         "mu": _FLOAT, "sigma": _FLOAT, "bias": _FLOAT}
+
+
 def save_model(model: BackgroundModel, path) -> None:
     if not model.entropy_weighted:
         raise ValidationError(
@@ -109,19 +109,10 @@ def save_model(model: BackgroundModel, path) -> None:
     if any(token.split() != [token] for phrase in model.phrases for token in phrase):
         raise ValidationError("model cannot be saved: a phrase token is empty "
                               "or holds whitespace")
-    records.write_records(path, [
-        ("category", model.category),
-        ("glossary_digest", model.glossary_digest),
-        ("n_docs", str(model.n_docs)),
-        ("k", str(model.k)),
-        ("mu", records.format_float(model.mu)),
-        ("sigma", records.format_float(model.sigma)),
-        ("bias", records.format_float(model.bias)),
-    ] + [("kw", f"{kid} {model.df[kid]} {' '.join(phrase)}")
-         for kid, phrase in enumerate(model.phrases)])
-
-
-_HEAD = ("category", "glossary_digest", "n_docs", "k", "mu", "sigma", "bias")
+    records.write_records(path, [(key, write(getattr(model, key)))
+                                 for key, (write, _) in _HEAD.items()]
+                          + [("kw", f"{kid} {model.df[kid]} {' '.join(phrase)}")
+                             for kid, phrase in enumerate(model.phrases)])
 
 
 def load_model(path) -> BackgroundModel:
@@ -131,12 +122,9 @@ def load_model(path) -> BackgroundModel:
     def bad(what: str) -> ValidationError:
         return ValidationError(f"{label}: {what}")
 
-    head, body = records.head(records.parse(records.read_text(path, label)), _HEAD, label)
-    n_docs = records.to_int(label, "n_docs", head["n_docs"])
-    k = records.to_int(label, "k", head["k"])
-    mu = records.to_float(label, "mu", head["mu"])
-    sigma = records.to_float(label, "sigma", head["sigma"])
-    bias = records.to_float(label, "bias", head["bias"])
+    values, body = records.head(records.parse(records.read_text(path, label)), _HEAD, label)
+    head = {key: read(label, key, values[key]) for key, (_, read) in _HEAD.items()}
+    n_docs = head["n_docs"]
     if n_docs < 1:  # before idf_from_df divides by it
         raise bad(f"n_docs must be >= 1, got {n_docs}")
 
@@ -162,10 +150,7 @@ def load_model(path) -> BackgroundModel:
 
     idf = {kid: idf_from_df(count, n_docs) for kid, count in df.items()}
     try:
-        return BackgroundModel(
-            category=head["category"], glossary_digest=head["glossary_digest"],
-            phrases=tuple(phrases), n_docs=n_docs, df=df, idf=idf, mu=mu, sigma=sigma,
-            k=k, bias=bias)
+        return BackgroundModel(**head, phrases=tuple(phrases), df=df, idf=idf)
     except ValidationError as exc:
         raise bad(str(exc)) from None
 

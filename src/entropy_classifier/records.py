@@ -9,7 +9,8 @@ package prints or saves, and refuses a value holding a newline, so a record
 is always one line. Every file starts with a `format_version 1` record, then
 its fixed header records in order: only write_records and head know the
 version. Writes are atomic: a temp file beside the target replaces it, so a
-failed or killed write leaves the old file.
+failed or killed write leaves the old file; staged holds the replace back
+while its caller writes another file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import re
 import shutil
+import sys
 from pathlib import Path
 
 from .errors import InputOutputError, ValidationError
@@ -115,32 +117,53 @@ def write_records(path, records: list[tuple[str, str]]) -> None:
 
 
 def write_text(path, text: str) -> None:
-    """Replace the file at path with text. The text is encoded before any file
-    is created; a device or pipe such as /dev/stdout is written in place."""
+    """Replace the file at path with text (see staged)."""
+    with staged(path, text):
+        pass
+
+
+@contextlib.contextmanager
+def staged(path, text: str):
+    """Write text to the file at path (None: stdout) once the with-block ends
+    without an exception. Before the block runs, the text is encoded and
+    written to a temp file beside the target (a device or pipe such as
+    /dev/stdout is opened instead, to be written in place), so a fault in
+    either is raised before the block writes anything."""
+    if path is None:
+        yield
+        sys.stdout.write(text)
+        return
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValidationError(f"{path}: text is not encodable as UTF-8 ({exc})") from exc
     p = Path(path)
+    with contextlib.ExitStack() as cleanup:
+        with _writing(path):
+            if p.exists() and not p.is_file():
+                device = cleanup.enter_context(open(p, "wb"))
+            else:
+                # No fsync: this guards against a killed process, not power loss. The
+                # temp name leaves out the target's name, so it fits wherever that fits.
+                device, target = None, p.resolve()
+                tmp = target.with_name(f".{os.getpid()}.{os.urandom(4).hex()}.tmp")
+                with open(tmp, "xb") as f:  # a new file, with the umask's mode
+                    cleanup.callback(tmp.unlink, missing_ok=True)  # gone after a replace
+                    if target.exists():
+                        shutil.copymode(target, tmp)  # calibrate keeps a 0600 model at 0600
+                    f.write(data)
+        yield
+        with _writing(path):
+            if device is None:
+                os.replace(tmp, target)
+            else:
+                with device:
+                    device.write(data)
+
+
+@contextlib.contextmanager
+def _writing(path):
     try:
-        if p.exists() and not p.is_file():
-            p.write_bytes(data)
-        else:
-            _replace(p.resolve(), data)
+        yield
     except OSError as exc:
         raise InputOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _replace(target: Path, data: bytes) -> None:
-    # No fsync: this guards against a killed process, not against power loss.
-    # The temp name leaves out the target's name, so it fits wherever that fits.
-    tmp = target.with_name(f".{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as f:  # a new file, with the umask's mode
-            if target.exists():
-                shutil.copymode(target, tmp)  # calibrate keeps a 0600 model at 0600
-            f.write(data)
-        os.replace(tmp, target)
-    finally:
-        with contextlib.suppress(OSError):
-            tmp.unlink()  # gone already after a successful replace

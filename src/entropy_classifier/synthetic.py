@@ -29,17 +29,19 @@ from .model import BackgroundModel
 from .text import corpus_from_texts
 
 
+# Each category's glossary holds N_UNIGRAMS one-token and N_BIGRAMS two-token
+# phrases; its domain-A positives draw from N_TOPIC topic tokens.
+N_UNIGRAMS, N_BIGRAMS, N_TOPIC = 10, 2, 8
+
+
 @dataclass(frozen=True)
 class SuiteParams:
     seed: int
     n_categories: int = 3
-    n_unigrams: int = 10
-    n_bigrams: int = 2
     n_background: int = 240
     n_negatives: int = 200
     n_positives: int = 40
     filler_vocab: int = 300
-    n_topic: int = 8
     spam_fraction: float = 0.15
     target_fpr: float = 0.02
     k: int = BackgroundModel.k
@@ -60,8 +62,8 @@ def build_suite(params: SuiteParams) -> ExperimentConfig:
 
     category_phrases = []
     for c in range(params.n_categories):
-        phrases = [(f"kw{c}n{i:02d}",) for i in range(params.n_unigrams)]
-        phrases += [(f"kw{c}b{i}", f"kw{c}c{i}") for i in range(params.n_bigrams)]
+        phrases = [(f"kw{c}n{i:02d}",) for i in range(N_UNIGRAMS)]
+        phrases += [(f"kw{c}b{i}", f"kw{c}c{i}") for i in range(N_BIGRAMS)]
         category_phrases.append(phrases)
     flat = [p for phrases in category_phrases for p in phrases]
 
@@ -82,7 +84,7 @@ def build_suite(params: SuiteParams) -> ExperimentConfig:
     filler_b = [f"v{j:03d}" for j in range(params.filler_vocab)]
     categories = []
     for c, phrases in enumerate(category_phrases):
-        topics = [(f"tp{c}x{i}",) for i in range(params.n_topic)]
+        topics = [(f"tp{c}x{i}",) for i in range(N_TOPIC)]
         docs = []
         for _ in range(params.n_positives):
             species = rng.sample(phrases, rng.randint(4, min(8, len(phrases))))

@@ -141,7 +141,7 @@ WRITE_FAULTS = ["disk_full", "replace_refused", "interrupted"]
 
 
 def inject_write_fault(monkeypatch, fault: str) -> type[BaseException]:
-    """Make the next atomic file write (records._replace) fail at one step:
+    """Make the next atomic file write (records.staged) fail at one step:
     the temp file's write hits a full disk, os.replace raises OSError, or a
     KeyboardInterrupt arrives in os.replace. Returns what the write raises."""
     if fault == "disk_full":

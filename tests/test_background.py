@@ -109,6 +109,11 @@ class TestFitStandardization:
                            match="degenerate background corpus: zero score variance"):
             fit_standardization(g, idf, 100, corpus)
 
+    def test_empty_corpus_rejected(self):
+        g = make_glossary("x", [("a",)])
+        with pytest.raises(ValidationError, match="background corpus must be non-empty"):
+            fit_standardization(g, {0: 1.0}, 100, corpus_from_texts([]))
+
 
 class TestTrain:
     def test_model_fields(self, finance_glossary, small_background):

@@ -1,5 +1,7 @@
+import io
 import random
 import stat
+import sys
 import tracemalloc
 
 import pytest
@@ -355,10 +357,20 @@ def _model_not_utf8(ws):
     return path, 1, f"model file {path}: not valid UTF-8"
 
 
+def _model_phrase_two_spaces(ws):
+    path = ws / "bad-model.txt"
+    lines = (ws / "model.txt").read_text(encoding="utf-8").split("\n")
+    [i] = [i for i, line in enumerate(lines) if line.startswith("kw 0 ")]
+    lines[i] += "  extra"  # an empty token between the two spaces
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path, 1, f"model file {path}: kw 0 has a malformed phrase"
+
+
 class TestKbFileFaults:
     """calibrate, score and evaluate with a model that will not load or an
-    --output in a missing directory: the exit code, nothing on stdout, one
-    error line, the model and the --output file as they were, no temp file."""
+    --output that cannot be written, and calibrate with a write fault: the exit
+    code, nothing on stdout, one error line, the model and the --output file as
+    they were, no temp file."""
 
     @staticmethod
     def run(ws, command, overrides):
@@ -378,8 +390,9 @@ class TestKbFileFaults:
         assert (ws / "out.txt").read_text(encoding="utf-8") == "previous output\n"
         assert list(ws.rglob(".*.tmp")) == []
 
-    @pytest.mark.parametrize("fault", [_missing_file, _directory_file, _model_not_utf8],
-                             ids=["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("fault", [_missing_file, _directory_file, _model_not_utf8,
+                                       _model_phrase_two_spaces],
+                             ids=["missing", "directory", "not-utf8", "phrase-two-spaces"])
     @pytest.mark.parametrize("command", ["calibrate", "score", "evaluate"])
     def test_model_fault(self, workspace, capsys, command, fault):
         run_train(workspace)
@@ -390,19 +403,57 @@ class TestKbFileFaults:
         rc = self.run(workspace, command, {"--model": path})
         self.assert_refused(workspace, capsys, rc, code, message, before)
 
-    @pytest.mark.parametrize("command", ["calibrate", "score", "evaluate"])
+    def run_output(self, ws, command, out):
+        if command == "calibrate-bias":
+            return main(["calibrate", "--model", str(ws / "model.txt"), "--bias", "1.25",
+                         "--output", str(out)])
+        return self.run(ws, command, {"--output": out})
+
+    @pytest.mark.parametrize("command", ["calibrate", "calibrate-bias", "score", "evaluate"])
     def test_missing_output_directory_exits_2(self, workspace, capsys, command):
         run_train(workspace)
         (workspace / "out.txt").write_text("previous output\n", encoding="utf-8")
         before = (workspace / "model.txt").read_bytes()
         capsys.readouterr()
         out = workspace / "nodir" / "out.txt"
-        rc = self.run(workspace, command, {"--output": out})
-        # calibrate rewrites the model's bias before it writes its report, so
-        # its model is not compared.
-        self.assert_refused(workspace, capsys, rc, 2, f"cannot write {out}: ",
-                            None if command == "calibrate" else before)
+        rc = self.run_output(workspace, command, out)
+        # calibrate stages its report before it rewrites the model's bias.
+        self.assert_refused(workspace, capsys, rc, 2, f"cannot write {out}: ", before)
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "calibrate-bias"])
+    def test_output_that_is_a_directory_keeps_model(self, workspace, capsys, command):
+        run_train(workspace)
+        (workspace / "out.txt").write_text("previous output\n", encoding="utf-8")
+        before = (workspace / "model.txt").read_bytes()
+        capsys.readouterr()
+        out = workspace / "outdir"
+        out.mkdir()
+        rc = self.run_output(workspace, command, out)
+        self.assert_refused(workspace, capsys, rc, 2, f"cannot write {out}: ", before)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fault", WRITE_FAULTS)
+    def test_calibrate_write_fault_keeps_model_and_output(self, workspace, capsys,
+                                                          monkeypatch, fault):
+        # disk_full fails the report's temp file, before the model is touched;
+        # the os.replace faults fail the model's rewrite, after the report is
+        # staged: either way both files stay as they were.
+        run_train(workspace)
+        (workspace / "out.txt").write_text("previous output\n", encoding="utf-8")
+        before = (workspace / "model.txt").read_bytes()
+        capsys.readouterr()
+        raised = inject_write_fault(monkeypatch, fault)
+        if raised is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                self.run(workspace, "calibrate", {})
+            assert capsys.readouterr().out == ""
+            assert (workspace / "model.txt").read_bytes() == before
+            assert (workspace / "out.txt").read_text(encoding="utf-8") == "previous output\n"
+            assert list(workspace.rglob(".*.tmp")) == []
+        else:
+            rc = self.run(workspace, "calibrate", {})
+            self.assert_refused(workspace, capsys, rc, 2, "cannot write ", before)
 
 
 def test_kb_commands_hold_one_document_at_a_time(tmp_path, capsys):
@@ -646,7 +697,8 @@ class TestExperimentCommands:
         (["--learning-rate", "-0.5"], "learning_rate must be finite and >= 0"),
         (["--learning-rate", "inf"], "learning_rate must be finite and >= 0"),
         (["--l2", "nan"], "l2 must be finite and >= 0"),
-    ], ids=["flag-negative-rate", "flag-inf-rate", "flag-nan-l2"])
+        (["--epochs", "-1"], "epochs must be >= 0"),
+    ], ids=["flag-negative-rate", "flag-inf-rate", "flag-nan-l2", "flag-negative-epochs"])
     def test_exp2_bad_lr_hyperparameters_exit_1(self, tmp_path, capsys, flags, message):
         ws = build_exp_workspace(tmp_path)
         rc = main(["exp2", "--background", str(ws / "bg.txt"),
@@ -659,6 +711,22 @@ class TestExperimentCommands:
         assert captured.out == ""
         assert message in captured.err
         assert "diverged" not in captured.err
+
+    def test_category_name_unencodable_on_stdout_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A lone surrogate is a valid category name until the records are
+        # written to a strict UTF-8 stdout: the encode error is a ValueError.
+        ws = build_exp_workspace(tmp_path)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict",
+                                  write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        rc = main(["exp1", "--background", str(ws / "bg.txt"),
+                   "--negatives", str(ws / "negs.txt"),
+                   "--category", "cat\udcff", str(ws / "g0.txt"), str(ws / "p0.txt"),
+                   "--target-fpr", "0.1", "--k", "10"])
+        assert rc == 1
+        assert stdout.buffer.getvalue() == b""
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "surrogates not allowed" in line
 
     def test_exp2_divergence_exits_1_without_warning(self, tmp_path, capsys):
         ws = build_exp_workspace(tmp_path)

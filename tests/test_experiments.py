@@ -209,13 +209,29 @@ class TestExperiment2:
             assert {"zzbridge", "zzposonly"} <= set(kept) and "zzonce" not in kept
 
     def test_measures_no_fpr_after_calibration(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("exp2 re-measured an FPR that calibration counted")
-        for name in ("measure_fpr", "lr_measure_fpr"):
-            monkeypatch.setattr(experiments, name, refuse)
-        monkeypatch.setattr(calibration, "measure_fpr", refuse)
-        monkeypatch.setattr(logreg, "lr_measure_fpr", refuse)
-        run_experiment2(tiny_config())
+        # Each classifier scores the negatives once per category, to calibrate:
+        # a row's FPR is the one calibration counted, never a second pass.
+        cfg = tiny_config()
+        n_neg = len(cfg.negatives)
+        # The spies tell the negatives apart by size: no held-out half or B matches.
+        assert all(n_neg not in (len(s.positives) // 2, len(s.positives_b))
+                   for s in cfg.categories)
+        scored = Counter()
+
+        def spy(module, name, classifier, corpus_arg):
+            real = getattr(module, name)
+
+            def counting(*args):
+                if len(args[corpus_arg]) == n_neg:
+                    scored[classifier] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counting)
+
+        spy(calibration, "standardized_scores", "kb", 0)
+        spy(logreg, "lr_logit", "lr", 1)
+        spy(experiments, "lr_logit", "lr", 1)
+        run_experiment2(cfg)
+        assert scored == {"kb": len(cfg.categories), "lr": len(cfg.categories)}
 
     def test_kb_rows_use_full_a_corpus_heldout_half(self):
         cfg = tiny_config()

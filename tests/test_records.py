@@ -94,6 +94,27 @@ class TestWrite:
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
+    def test_staged_block_fault_leaves_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(KeyError):
+            with records.staged(path, "new\n"):
+                # The temp file is written before the block runs.
+                assert [p.name for p in tmp_path.glob(".*.tmp")] != []
+                raise KeyError("the block failed")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    @pytest.mark.parametrize("target", ["nodir/f.txt", "a-directory"])
+    def test_staged_write_fault_comes_before_the_block(self, tmp_path, target):
+        (tmp_path / "a-directory").mkdir()
+        ran = []
+        with pytest.raises(InputOutputError, match="cannot write"):
+            with records.staged(tmp_path / target, "x\n"):
+                ran.append(target)
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
+
     def test_new_file_gets_umask_mode(self, tmp_path):
         old = os.umask(0o027)
         try:
