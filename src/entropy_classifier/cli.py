@@ -12,6 +12,7 @@ one string per distinct token of each.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -144,8 +145,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths a and b name one file (a symlink or hard link counts)."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a missing path names no file
+        return False
+
+
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
+    # The report would replace the model file it rewrites.
+    if args.output is not None and _same_file(args.output, args.model):
+        raise ValidationError(f"calibrate --output {args.output} is the --model file")
     if (args.bias is None) == (args.negatives is None):
         raise ValidationError("calibrate needs exactly one of --bias or --negatives")
     if args.bias is not None:

@@ -5,9 +5,9 @@ text; everything else separates tokens. No stemming, no stop words, and digits
 are kept so terms like "401k" survive. The token count of a document defines
 its word count everywhere else in the package. The lowercased text's UTF-8
 bytes go through one translate table that turns every ASCII byte but [a-z0-9]
-into a space, then str.split(); only a word that still holds a non-ASCII
-separator goes through the regex. That is faster than the regex alone and
-yields the same tokens.
+into a space, then str.split(). Only the non-ASCII words are checked for a
+separator left inside them, and only those that hold one go through the regex.
+That is faster than the regex alone and yields the same tokens.
 
 read_documents yields a corpus's documents one at a time, load_corpus keeps
 them in a Corpus; matching and scoring accept either (Documents). A Corpus,
@@ -61,6 +61,8 @@ def tokenize(raw_text: str) -> list[str]:
 
     >>> tokenize("Tax-Return 2023!")
     ['tax', 'return', '2023']
+    >>> tokenize("«Déjà-vu»—ÇA")
+    ['déjà', 'vu', 'ça']
     >>> tokenize("")
     []
     """
@@ -74,18 +76,30 @@ def tokenize(raw_text: str) -> list[str]:
         return words
     # str.split() cuts only at whitespace, which is never alphanumeric, and
     # str.isalnum() accepts exactly the characters [^\W_] does: a word that
-    # isalnum() is one token. The others still hold a non-ASCII separator and
-    # are re-split by the regex, in place. words.index finds the failing word
-    # itself: an equal word between start and it would have failed before it.
-    tokens = []
-    start = 0
-    for word in filterfalse(str.isalnum, words):
+    # isalnum() is one token. An ASCII word is [a-z0-9]+ after the table, so
+    # only a non-ASCII word can still hold a separator, and only such a word
+    # that is not isalnum() is re-split by the regex. words.index finds the
+    # failing word itself: an equal word between i and it would have failed
+    # before it. While each re-split word is one token, it takes the word's
+    # place, behind the scan; the first that is not makes one list of slices
+    # from there on, so no word shifts the list's tail.
+    bad = filterfalse(str.isalnum, filterfalse(str.isascii, words))
+    i = -1
+    for word in bad:
+        i = words.index(word, i + 1)
+        tokens = _WORD_RE.findall(word)
+        if len(tokens) != 1:
+            break
+        words[i] = tokens[0]
+    else:
+        return words
+    tokens[:0] = words[:i]
+    start = i + 1
+    for word in bad:
         i = words.index(word, start)
         tokens += words[start:i]
         tokens += _WORD_RE.findall(word)
         start = i + 1
-    if not start:
-        return words
     tokens += words[start:]
     return tokens
 

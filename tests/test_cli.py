@@ -455,6 +455,26 @@ class TestKbFileFaults:
             rc = self.run(workspace, "calibrate", {})
             self.assert_refused(workspace, capsys, rc, 2, "cannot write ", before)
 
+    @pytest.mark.parametrize("spelling", ["dot", "symlink", "hard-link"])
+    @pytest.mark.parametrize("command", ["calibrate", "calibrate-bias"])
+    def test_output_that_is_the_model_exits_1(self, workspace, capsys, command, spelling):
+        # The report would otherwise replace the model it rewrites.
+        run_train(workspace)
+        (workspace / "out.txt").write_text("previous output\n", encoding="utf-8")
+        model = workspace / "model.txt"
+        before = model.read_bytes()
+        capsys.readouterr()
+        if spelling == "dot":
+            out = f"{workspace}/./model.txt"
+        elif spelling == "symlink":
+            out = workspace / "link.txt"
+            out.symlink_to("model.txt")
+        else:
+            out = workspace / "link.txt"
+            out.hardlink_to(model)
+        rc = self.run_output(workspace, command, out)
+        self.assert_refused(workspace, capsys, rc, 1, "is the --model file", before)
+
 
 def test_kb_commands_hold_one_document_at_a_time(tmp_path, capsys):
     """Each KB command's tracemalloc peak grows by at most 1 KB per added

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from entropy_classifier.errors import InputOutputError, ValidationError
 from entropy_classifier.text import (
+    _SEPARATORS,
     Document,
     corpus_from_texts,
     load_corpus,
@@ -63,8 +64,21 @@ class TestTokenize:
         "ΟΔΟΣ ΑΒ",  # final Σ lowers to ς
         "«»—",  # a word that is only separators
         "été",
+        # The fix-up's branches: while every re-split word is one token it
+        # takes the word's place; from the first that is not (none or two),
+        # the tokens are rebuilt by slices.
+        "«a» b c «d»",
+        "a—b x y a—b",
+        "x «a» «a» y",
+        "x a—b a—b y",
+        "a «» b",
+        "«» «a»",
+        "«a» b «c» a—b «a» c «c» a—b «»",
     ], ids=["file-separators", "underscores", "kelvin-sign", "dotted-capital-i", "lone-surrogate",
-            "medial-sigma", "final-sigma", "only-separators", "accented"])
+            "medial-sigma", "final-sigma", "only-separators", "accented",
+            "one-token-first-and-last", "two-tokens-first-and-last", "equal-one-token-pair",
+            "equal-two-token-pair", "separator-only", "separator-only-first",
+            "one-token-around-first-two-token"])
     def test_fast_path_edge_cases_match_oracle(self, text):
         assert tokenize(text) == naive_tokenize(text)
 
@@ -77,6 +91,35 @@ class TestTokenize:
     @settings(max_examples=300)
     def test_non_ascii_words_match_character_scan_oracle(self, s):
         assert tokenize(s) == naive_tokenize(s)
+
+    # Long texts in which each separator-holding word repeats many times:
+    # words.index must find every copy in turn, in both branches.
+    @given(st.lists(st.sampled_from(["tax", "401k", "été", "ΟΔΟΣ", "déjà-vu", "a b",
+                                     "«x»", "«été»", "x’s", "a—b", "«»", "—"]),
+                    min_size=5, max_size=40),
+           st.integers(60, 100), st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_long_texts_with_repeated_bad_words_match_oracle(self, motif, reps, rnd):
+        words = motif * reps
+        rnd.shuffle(words)
+        text = " ".join(words)
+        assert tokenize(text) == naive_tokenize(text)
+
+    # Linear in both branches: a fix-up that shifted the list's tail once per
+    # word would take seconds here.
+    @pytest.mark.parametrize("word, tokens", [("a—b", ["a", "b"]), ("«a»", ["a"])])
+    def test_fix_up_is_linear(self, word, tokens):
+        assert tokenize(" ".join([word] * 200_000)) == tokens * 200_000
+
+    def test_ascii_words_need_no_fix_up(self):
+        # Every ASCII byte the table keeps maps to itself, is [a-z0-9] and is
+        # isalnum(), so an ASCII word after the table is one token.
+        kept = [b for b in range(0x80) if _SEPARATORS[b] != 0x20]
+        assert kept
+        for b in kept:
+            assert _SEPARATORS[b] == b
+            assert chr(b) in string.ascii_lowercase + string.digits
+            assert chr(b).isalnum()
 
     @given(st.text(max_size=200))
     @settings(max_examples=300)
