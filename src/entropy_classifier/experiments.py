@@ -1,9 +1,10 @@
 """Experiment harnesses and aggregate verification.
 
-Experiment 1 isolates the entropy factor: per category, an entropy-weighted
-model and an abundance-only ablation are trained on the same background
-corpus, calibrated to the same FPR target, and compared on recall, with a
-one-way ANOVA across categories.
+Experiment 1 isolates the entropy factor: per category, the entropy-weighted
+score and an abundance-only ablation, which exists only here as the kernel's
+tfidf_over_L (scoring._score_profile), are fitted on the same background
+corpus from one kernel pass, calibrated to the same FPR target, and compared
+on recall, with a one-way ANOVA across categories. It builds no model.
 
 Experiment 2 contrasts robustness under distribution shift: a logistic
 regression trained on half of each category's A corpus (background corpus as
@@ -15,9 +16,9 @@ Both experiments match the background and the negatives for every category
 in one pass (glossary._match_corpora) before any model is trained. The LR
 encodes the background and the negatives once (logreg._encode), and every
 category's train_lr and calibrate_lr_threshold share them. Each row's FPR on
-the negatives is the one calibration achieved: calibrate_fpr and
-calibrate_lr_threshold each return (thresholded model, achieved FPR), so no
-classifier scores the negatives twice. A knowledge-based recall is
+the negatives is the one calibration achieved: threshold_for_scores,
+calibrate_fpr and calibrate_lr_threshold each return it, so no classifier
+scores the negatives twice. A knowledge-based recall in experiment 2 is
 calibration.measure_fpr of the positives: the rate of any corpus.
 
 verify_tables recomputes aggregates from bundled golden recall tables and
@@ -39,10 +40,10 @@ from importlib import resources
 from pathlib import Path
 
 from . import records
-from .background import train
-from .calibration import calibrate_fpr, measure_fpr
+from .background import fit_idf, fit_standardization, train
+from .calibration import calibrate_fpr, measure_fpr, threshold_for_scores
 from .errors import ValidationError
-from .glossary import Glossary, _match_corpora
+from .glossary import Glossary, _match_corpora, match_corpus
 from .logreg import LrParams, _encode, calibrate_lr_threshold, lr_logit, train_lr
 from .model import BackgroundModel
 from .records import format_float
@@ -51,6 +52,7 @@ from .records import format_float
 # the names must stay bound.
 from .logreg import lr_decision, lr_measure_fpr  # noqa: F401
 from .scoring import score_document  # noqa: F401
+from .scoring import _score_profile, _standardize
 from .stats import AnovaResult, fractional_change, one_way_anova, recall
 from .text import Corpus
 
@@ -128,14 +130,6 @@ def _validate_config(config: ExperimentConfig, need_b: bool) -> None:
                 )
 
 
-def _calibrated_kb(spec: CategorySpec, config: ExperimentConfig,
-                   entropy_weighted: bool = True) -> tuple[BackgroundModel, float]:
-    """Train on the background and calibrate on the negatives:
-    (thresholded model, achieved FPR on the negatives)."""
-    model = train(spec.glossary, config.background, config.k, entropy_weighted=entropy_weighted)
-    return calibrate_fpr(model, spec.glossary, config.negatives, config.target_fpr)
-
-
 def _add_fractional_change(changes: list[float], recall_a: float, recall_b: float,
                            label: str, warnings: list[str]) -> float | None:
     """Append the fractional change to changes and return it; at a zero
@@ -180,18 +174,27 @@ def run_experiment1(config: ExperimentConfig) -> EvalReport:
                    config.negatives)
     rows: dict[str, CategoryEval] = {}
     for spec in config.categories:
-        plain, fpr_plain = _calibrated_kb(spec, config, entropy_weighted=False)
-        entropy, fpr_entropy = _calibrated_kb(spec, config)
-        r_plain, r_entropy = (measure_fpr(m, spec.glossary, spec.positives)
-                              for m in (plain, entropy))
+        _, _, idf = fit_idf(spec.glossary, config.background, config.k)
+        # One kernel pass per document: (tfidf_over_L, raw score) is its raw
+        # score under the ablation and under the entropy model.
+        background, negatives, positives = (
+            [_score_profile(profile, word_count, idf, config.k)[2::2]
+             for word_count, profile in match_corpus(spec.glossary, corpus)]
+            for corpus in (config.background, config.negatives, spec.positives))
+        rates = []
+        for column in (0, 1):  # the ablation's fit and threshold raise first
+            mu, sigma = fit_standardization([pair[column] for pair in background])
+            negative, positive = ([_standardize(pair[column], mu, sigma) for pair in pairs]
+                                  for pairs in (negatives, positives))
+            bias, fpr = threshold_for_scores(negative, config.target_fpr)
+            rates.append((recall(positive, bias), fpr))  # A is non-empty: cannot raise
+        (r_plain, fpr_plain), (r_entropy, fpr_entropy) = rates
         rows[spec.name] = CategoryEval(
             recall_a=r_plain, recall_b=r_entropy, fpr_a=fpr_plain, fpr_b=fpr_entropy,
             n_pos_a=len(spec.positives), n_pos_b=len(spec.positives),
             n_neg=len(config.negatives),
             # Never averaged, so a zero baseline is a silent na.
-            fractional_change=(
-                fractional_change(r_plain, r_entropy) if r_plain > 0 else None
-            ),
+            fractional_change=fractional_change(r_plain, r_entropy) if r_plain > 0 else None,
         )
     groups = {"mean_recall_a": [row.recall_a for row in rows.values()],
               "mean_recall_b": [row.recall_b for row in rows.values()]}
@@ -224,7 +227,8 @@ def run_experiment2(config: ExperimentConfig) -> EvalReport:
     for spec in config.categories:
         a_train, a_eval = split_alternating(spec.positives)
         corpus_b = spec.positives_b
-        kb, kb_fpr = _calibrated_kb(spec, config)
+        kb, kb_fpr = calibrate_fpr(train(spec.glossary, config.background, config.k),
+                                   spec.glossary, config.negatives, config.target_fpr)
         lr, lr_fpr = calibrate_lr_threshold(train_lr(a_train, background, config.lr),
                                             negatives, config.target_fpr)
         lr_ra, lr_rb = (recall(lr_logit(lr, c), lr.threshold_bias) for c in (a_eval, corpus_b))

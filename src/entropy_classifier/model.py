@@ -36,9 +36,9 @@ def check_k(k: int) -> None:
 class BackgroundModel:
     """Everything needed to score documents against one glossary.
 
-    entropy_weighted=False is the ablation variant used by experiment 1
-    (raw score = abundance alone, with its own refit mu/sigma). Ablation
-    models are in-memory only; the file format has no field for the flag.
+    There is one kind of model: it scores entropy times abundance. Experiment
+    1's abundance-only ablation is no model; it lives inside
+    experiments.run_experiment1 as the kernel's tfidf_over_L column.
     """
 
     category: str
@@ -51,7 +51,6 @@ class BackgroundModel:
     sigma: float
     k: int = 100
     bias: float = 3.0  # three standard deviations above the background mean
-    entropy_weighted: bool = True
 
     def __post_init__(self) -> None:
         check_k(self.k)
@@ -71,9 +70,7 @@ class BackgroundModel:
             max_idf = max(max_idf, abs(self.idf[kid]))
         # Matches never overlap, so total matches <= word count <= L: the raw
         # score is at most max idf, times at most ln |phrases| of entropy.
-        bound = max_idf
-        if self.entropy_weighted and len(self.phrases) > 1:
-            bound *= max(1.0, math.log(len(self.phrases)))
+        bound = max_idf * max(1.0, math.log(len(self.phrases) or 1))
         if not math.isfinite((abs(self.mu) + bound) / self.sigma):
             raise ValidationError(f"sigma {self.sigma!r} is too small: a standardized "
                                   "score of this model would not be finite")
@@ -101,11 +98,6 @@ _HEAD = {"category": _TEXT, "glossary_digest": _TEXT, "n_docs": _INT, "k": _INT,
 
 
 def save_model(model: BackgroundModel, path) -> None:
-    if not model.entropy_weighted:
-        raise ValidationError(
-            "ablation models (entropy_weighted=False) cannot be saved: "
-            "the model file format has no field for the variant"
-        )
     if any(token.split() != [token] for phrase in model.phrases for token in phrase):
         raise ValidationError("model cannot be saved: a phrase token is empty "
                               "or holds whitespace")

@@ -12,20 +12,19 @@ appears. The standardized score is shifted by the model bias and squashed
 through a sigmoid; positive classification means y >= 0.5, equivalently
 standardized >= bias.
 
-For ablation models (entropy_weighted=False) the raw score is the abundance
-alone; the breakdown still records the true entropy for inspection.
-
 This module is the only place a document is scored. The private kernel
 _score_profile is the only code that computes the raw score: it reads one
 match profile once, in ascending keyword id order, and returns L, the
 per-keyword contributions, tfidf_over_L, the entropy (through _entropy, the
 one entropy formula, which the checked public shannon_entropy also calls) and
-the raw score; raw_score, standardized_scores and
-background.fit_standardization call it. _standardize is the one
-(raw - mu) / sigma expression, so the bulk path and predict cannot differ by
-an ulp at the calibrated bias.
+the raw score. Its tfidf_over_L column is the abundance-only raw score of
+experiment 1's ablation, which exists only inside that experiment
+(experiments.run_experiment1). Both sums are explicit left folds from 0.0, so
+a score has the same bits on every supported Python. _standardize is the one
+(raw - mu) / sigma expression, so the bulk path, predict and experiment 1
+cannot differ by an ulp at the calibrated bias.
 
-standardized_scores is the bulk path (calibrate, evaluate and the experiment
+standardized_scores is the bulk path (calibrate, evaluate and experiment 2's
 recalls): it checks only the glossary (a model checks its own fields, see
 model.py), once, then runs the kernel and _standardize per document and
 builds no ScoreBreakdown. raw_score (public name score_document) serves the
@@ -36,9 +35,9 @@ raw_score for each document as it is read. Both paths compare the model
 against the glossary's cached digest (see glossary.py), and read a corpus,
 which may be a one-pass stream, to its end before they report a mismatch, so
 a read error in it comes first. The bulk path reads the corpus's (word count,
-match profile) list from glossary.match_corpus, so a corpus that training,
-calibration or an ablation model already matched costs no second match;
-raw_score matches its one document with glossary.match.
+match profile) list from glossary.match_corpus, so a corpus that training or
+calibration already matched costs no second match; raw_score matches its one
+document with glossary.match.
 """
 
 from __future__ import annotations
@@ -56,7 +55,13 @@ from .text import Document, Documents
 def _entropy(p) -> float:
     """The entropy formula, -sum p ln p in nats over a sequence of
     probabilities (0 ln 0 := 0), unchecked. A single p = 1 gives -0.0."""
-    return -sum(v * math.log(v) for v in p if v > 0.0) if p else 0.0
+    # A left fold, not sum(): since Python 3.12 sum() of floats is compensated,
+    # which would change the last bits of a score between Python versions.
+    total = 0.0
+    for v in p:
+        if v > 0.0:
+            total += v * math.log(v)
+    return -total if p else 0.0
 
 
 def shannon_entropy(p: dict[int, float]) -> float:
@@ -83,11 +88,9 @@ def sigmoid(z: float) -> float:
 
 @dataclass(frozen=True)
 class ScoreBreakdown:
-    """Full explainable trace of one document's score.
-
-    For entropy-weighted models raw_score is entropy times tfidf_over_L
-    exactly; ablation models use raw_score = tfidf_over_L.
-    """
+    """Full explainable trace of one document's score: raw_score is entropy
+    times tfidf_over_L exactly. (tfidf_over_L alone is experiment 1's
+    ablation score, which no model or breakdown carries.)"""
 
     doc_id: str
     word_count: int
@@ -109,8 +112,7 @@ def _check_digest(glossary: Glossary, model: BackgroundModel, corpus=None) -> No
         raise ValidationError("model was trained for a different glossary")
 
 
-def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: int,
-                   entropy_weighted: bool):
+def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: int):
     """The scoring kernel: (L, per_keyword, tfidf_over_L, entropy, raw score).
 
     The only code that computes the raw score. Plain values, no breakdown
@@ -121,22 +123,24 @@ def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: 
     glossary, and training derives idf from the glossary it matches with.
     """
     L = max(k, word_count)
-    contributions = {kid: n * idf[kid] / L for kid, n in tf.tf.items()}
-    tfidf_over_L = sum(contributions.values())
+    contributions = {}
+    tfidf_over_L = 0.0  # a left fold, as in _entropy
+    for kid, n in tf.tf.items():
+        contributions[kid] = c = n * idf[kid] / L
+        tfidf_over_L += c
     total = tf.total_matches
     # Probabilities built from positive counts need none of shannon_entropy's checks.
     entropy = _entropy([n / total for n in tf.tf.values()])
-    s = entropy * tfidf_over_L if entropy_weighted else tfidf_over_L
-    return L, contributions, tfidf_over_L, entropy, s
+    return L, contributions, tfidf_over_L, entropy, entropy * tfidf_over_L
 
 
-def _standardize(raw: float, model: BackgroundModel) -> float:
-    return (raw - model.mu) / model.sigma
+def _standardize(raw: float, mu: float, sigma: float) -> float:
+    return (raw - mu) / sigma
 
 
 def predict(raw: float, model: BackgroundModel) -> tuple[float, float, bool]:
     """(standardized score, probability, decision) of a raw score."""
-    s_hat = _standardize(raw, model)
+    s_hat = _standardize(raw, model.mu, model.sigma)
     return s_hat, sigmoid(s_hat - model.bias), s_hat >= model.bias
 
 
@@ -145,7 +149,7 @@ def raw_score(doc: Document, glossary: Glossary, model: BackgroundModel) -> Scor
     _check_digest(glossary, model)
     tf = match(glossary, doc.tokens)
     L, contributions, tfidf_over_L, entropy, s = _score_profile(
-        tf, len(doc.tokens), model.idf, model.k, model.entropy_weighted)
+        tf, len(doc.tokens), model.idf, model.k)
     # In field order; predict supplies the last three fields.
     return ScoreBreakdown(doc.id, len(doc.tokens), L, tf, contributions, tfidf_over_L,
                           entropy, s, *predict(s, model))
@@ -175,7 +179,6 @@ def standardized_scores(corpus: Documents, glossary: Glossary,
     for an empty corpus.
     """
     _check_digest(glossary, model, corpus)
-    idf, k, entropy_weighted = model.idf, model.k, model.entropy_weighted
-    return [_standardize(_score_profile(profile, word_count, idf, k, entropy_weighted)[-1],
-                         model)
+    idf, k, mu, sigma = model.idf, model.k, model.mu, model.sigma
+    return [_standardize(_score_profile(profile, word_count, idf, k)[-1], mu, sigma)
             for word_count, profile in match_corpus(glossary, corpus)]

@@ -5,13 +5,12 @@ loops, deliberately sharing no code with the package, so agreement between
 the two is evidence rather than tautology. The two LR kernel references
 (two_branch_sigmoid, two_term_logistic_loss) are the textbook numpy forms
 instead, so that the package's shorter kernels can be held to them bit for bit.
+Only those two import numpy, so the other oracles serve on a Python without it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def naive_tokenize(raw_text: str) -> list[str]:
@@ -139,6 +138,8 @@ def naive_mean_std(values) -> tuple[float, float]:
 def two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) on the elements where z >= 0, e^z / (1 + e^z) on the
     rest (nan among them), each branch evaluated on its own elements only."""
+    import numpy as np
+
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -150,5 +151,7 @@ def two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
 def two_term_logistic_loss(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
     """Mean of y*log(1 + e^-z) + (1 - y)*log(1 + e^z) over the rows, plus
     (l2/2)||w||^2: both terms on every row, whatever its label."""
+    import numpy as np
+
     per_sample = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
     return float(np.mean(per_sample) + 0.5 * l2 * float(w @ w))

@@ -77,14 +77,10 @@ class TestIdf:
 
 class TestFitStandardization:
     def test_matches_two_pass_mean_std(self, finance_glossary, small_background):
-        n, df = compute_df(finance_glossary, small_background)
-        idf = {kid: idf_from_df(df[kid], n) for kid in df}
-        mu, sigma = fit_standardization(finance_glossary, idf, 100, small_background)
-        scores = [
-            raw_score(d, finance_glossary,
-                      train(finance_glossary, small_background)).raw_score
-            for d in small_background
-        ]
+        m = train(finance_glossary, small_background)
+        scores = [raw_score(d, finance_glossary, m).raw_score for d in small_background]
+        mu, sigma = fit_standardization(scores)
+        assert (m.mu, m.sigma) == (mu, sigma)
         exp_mu, exp_sigma = naive_mean_std(scores)
         assert mu == pytest.approx(exp_mu, rel=1e-14)
         assert sigma == pytest.approx(exp_sigma, rel=1e-14)
@@ -93,26 +89,23 @@ class TestFitStandardization:
         # two docs scoring s and 0: population std is |s|/2, sample std larger
         g = make_glossary("x", [("a",), ("b",)])
         corpus = corpus_from_texts(["a b", "c c"])
-        n, df = compute_df(g, corpus)
-        idf = {kid: idf_from_df(df[kid], n) for kid in df}
-        mu, sigma = fit_standardization(g, idf, 100, corpus)
-        s = raw_score(corpus.documents[0], g, train(g, corpus)).raw_score
-        assert mu == pytest.approx(s / 2, rel=1e-14)
-        assert sigma == pytest.approx(s / 2, rel=1e-14)
+        m = train(g, corpus)
+        s = raw_score(corpus.documents[0], g, m).raw_score
+        assert fit_standardization([s, 0.0]) == (m.mu, m.sigma)
+        assert m.mu == pytest.approx(s / 2, rel=1e-14)
+        assert m.sigma == pytest.approx(s / 2, rel=1e-14)
 
     def test_zero_variance_rejected(self):
         g = make_glossary("x", [("a",)])
         corpus = corpus_from_texts(["no keywords here", "none here either"])
-        n, df = compute_df(g, corpus)
-        idf = {kid: idf_from_df(df[kid], n) for kid in df}
-        with pytest.raises(ValidationError,
-                           match="degenerate background corpus: zero score variance"):
-            fit_standardization(g, idf, 100, corpus)
+        for fit in (lambda: fit_standardization([0.0, 0.0]), lambda: train(g, corpus)):
+            with pytest.raises(ValidationError,
+                               match="degenerate background corpus: zero score variance"):
+                fit()
 
     def test_empty_corpus_rejected(self):
-        g = make_glossary("x", [("a",)])
         with pytest.raises(ValidationError, match="background corpus must be non-empty"):
-            fit_standardization(g, {0: 1.0}, 100, corpus_from_texts([]))
+            fit_standardization([])
 
 
 class TestTrain:
@@ -123,22 +116,18 @@ class TestTrain:
         assert m.n_docs == len(small_background)
         assert m.k == 50
         assert m.bias == 3.0
-        assert m.entropy_weighted is True
         assert set(m.df) == set(range(len(finance_glossary.phrases)))
         for kid, df in m.df.items():
             assert m.idf[kid] == naive_idf(df, m.n_docs)
 
-    def test_ablation_flag(self, finance_glossary, small_background):
-        m = train(finance_glossary, small_background, entropy_weighted=False)
-        assert m.entropy_weighted is False
-        # ablation raw score is the abundance alone
-        b = raw_score(small_background.documents[0], finance_glossary, m)
-        assert b.raw_score == b.tfidf_over_L
-
     def test_ablation_refits_mu_sigma(self, finance_glossary, small_background):
-        m1 = train(finance_glossary, small_background)
-        m2 = train(finance_glossary, small_background, entropy_weighted=False)
-        assert (m1.mu, m1.sigma) != (m2.mu, m2.sigma)
+        # Experiment 1's abundance-only ablation is no model: it fits its own
+        # mu and sigma on the kernel's tfidf_over_L through the same fit.
+        m = train(finance_glossary, small_background)
+        abundance = [raw_score(d, finance_glossary, m).tfidf_over_L for d in small_background]
+        mu, sigma = fit_standardization(abundance)
+        assert (mu, sigma) != (m.mu, m.sigma)
+        assert (mu, sigma) == pytest.approx(naive_mean_std(abundance), rel=1e-14)
 
     def test_invalid_k(self, finance_glossary, small_background):
         with pytest.raises(ValidationError, match="k must be >= 1"):
@@ -152,8 +141,8 @@ class TestTrain:
         calls = count_match_calls(monkeypatch)
         train(finance_glossary, small_background)
         assert calls == [len(small_background)]
-        # The ablation model of the same glossary reuses those matches.
-        train(finance_glossary, small_background, entropy_weighted=False)
+        # A second model of the same glossary, here with another k, reuses them.
+        train(finance_glossary, small_background, k=7)
         assert calls == [len(small_background)]
 
 
@@ -202,14 +191,12 @@ class TestModelInvariant:
         with pytest.raises(ValidationError, match=message):
             replace(BackgroundModel(**fields), **{field: value})
 
-    @pytest.mark.parametrize("entropy_weighted", [True, False])
-    def test_smallest_sigma_still_scores_the_largest_raw_score(self, entropy_weighted):
+    def test_smallest_sigma_still_scores_the_largest_raw_score(self):
         # "a b c" with k = 1 reaches the raw score bound: idf 2 times ln 3
-        # nats of entropy (2 alone for the ablation).
+        # nats of entropy.
         glossary = make_glossary("x", [("a",), ("b",), ("c",)])
-        bound = 2.0 * math.log(3) if entropy_weighted else 2.0
-        fields = dict(valid_fields(glossary), idf={0: 2.0, 1: 2.0, 2: 2.0}, mu=-1.0, k=1,
-                      entropy_weighted=entropy_weighted)
+        bound = 2.0 * math.log(3)
+        fields = dict(valid_fields(glossary), idf={0: 2.0, 1: 2.0, 2: 2.0}, mu=-1.0, k=1)
         sigma = (1.0 + bound) / 1.7e308
         m = BackgroundModel(**{**fields, "sigma": sigma})
         b = score_document(Document.from_text("d", "a b c"), glossary, m)
@@ -265,7 +252,6 @@ class TestModelInvariant:
             bias=pick("bias", st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3), nonfinite),
             k=pick("k", st.sampled_from([1, 2**63 - 1]) | st.integers(1, 10**6),
                    [0, -1, 2**63]),
-            entropy_weighted=data.draw(st.booleans()),
         )
         if broken:
             with pytest.raises(ValidationError):
@@ -277,10 +263,9 @@ class TestModelInvariant:
         b = score_document(Document.from_text("d", text), glossary, m)
         for name in ("tfidf_over_L", "entropy", "raw_score", "standardized", "probability"):
             assert math.isfinite(getattr(b, name)), name
-        if m.entropy_weighted:
-            save_model(m, fuzz_file)
-            want_idf = {kid: idf_from_df(count, m.n_docs) for kid, count in m.df.items()}
-            assert load_model(fuzz_file) == replace(m, idf=want_idf)
+        save_model(m, fuzz_file)
+        want_idf = {kid: idf_from_df(count, m.n_docs) for kid, count in m.df.items()}
+        assert load_model(fuzz_file) == replace(m, idf=want_idf)
 
 
 class TestModelPersistence:
@@ -307,12 +292,6 @@ class TestModelPersistence:
         save_model(m, tmp_path / "a.txt")
         save_model(m, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
-
-    def test_ablation_models_refuse_to_save(self, tmp_path, finance_glossary,
-                                            small_background):
-        m = train(finance_glossary, small_background, entropy_weighted=False)
-        with pytest.raises(ValidationError, match="cannot be saved"):
-            save_model(m, tmp_path / "m.txt")
 
     def test_newline_in_category_rejected_before_writing(self, tmp_path, finance_glossary,
                                                          small_background):

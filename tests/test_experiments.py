@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropy_classifier import calibration, experiments, logreg
+from entropy_classifier import background, calibration, experiments, logreg, scoring
 from entropy_classifier.background import train
-from entropy_classifier.calibration import calibrate_fpr, measure_fpr
+from entropy_classifier.calibration import calibrate_fpr, measure_fpr, threshold_for_scores
 from entropy_classifier.errors import ValidationError
 from entropy_classifier.experiments import (
     CategorySpec,
@@ -24,10 +25,12 @@ from entropy_classifier.experiments import (
 )
 from entropy_classifier.glossary import make_glossary
 from entropy_classifier.logreg import calibrate_lr_threshold, lr_measure_fpr, train_lr
+from entropy_classifier.stats import recall
 from entropy_classifier.synthetic import SuiteParams, build_suite
 from entropy_classifier.text import Corpus, Document, corpus_from_texts
 
 from conftest import count_match_calls, loads_or_refuses, mutations, write_lines_file
+from oracles import naive_abundance, naive_idf, naive_match, naive_mean_std
 
 
 def tiny_config(n_categories=2, seed=5):
@@ -35,6 +38,21 @@ def tiny_config(n_categories=2, seed=5):
         seed=seed, n_categories=n_categories, n_background=60, n_negatives=50,
         n_positives=12, filler_vocab=80, target_fpr=0.05, k=50,
     ))
+
+
+def count_calls(monkeypatch, fn) -> list[int]:
+    """Count calls of fn through every package module that binds it; the
+    count is the list's item."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entropy_classifier") and vars(module).get(fn.__name__) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
 
 
 class TestSplitAlternating:
@@ -117,6 +135,49 @@ class TestExperiment1:
         run_experiment1(cfg)
         assert calls == [sum(len(cfg.background) + len(cfg.negatives) + len(s.positives)
                              for s in cfg.categories)]
+
+    def test_runs_df_once_per_category_and_the_kernel_once_per_document(self, monkeypatch):
+        # One kernel pass feeds both the ablation and the entropy model.
+        cfg = tiny_config()
+        df_calls = count_calls(monkeypatch, background.compute_df)
+        kernel_calls = count_calls(monkeypatch, scoring._score_profile)
+        run_experiment1(cfg)
+        assert df_calls == [len(cfg.categories)]
+        assert kernel_calls == [sum(len(cfg.background) + len(cfg.negatives) + len(s.positives)
+                                    for s in cfg.categories)]
+
+    def test_ablation_equals_the_naive_oracle(self):
+        # recall_a and fpr_a: the abundance alone, standardized over the
+        # background, thresholded on the negatives, counted on A.
+        cfg = tiny_config()
+        report = run_experiment1(cfg)
+        for spec in cfg.categories:
+            phrases = spec.glossary.phrases
+            df = Counter(kid for doc in cfg.background for kid in naive_match(phrases, doc.tokens))
+            idf = {kid: naive_idf(df[kid], len(cfg.background)) for kid in range(len(phrases))}
+
+            def abundance(corpus):
+                return [naive_abundance(naive_match(phrases, doc.tokens), idf, len(doc.tokens),
+                                        cfg.k) for doc in corpus]
+
+            mu, sigma = naive_mean_std(abundance(cfg.background))
+            bias, fpr = threshold_for_scores([(s - mu) / sigma for s in abundance(cfg.negatives)],
+                                             cfg.target_fpr)
+            row = report.per_category[spec.name]
+            assert row.fpr_a == fpr
+            assert row.recall_a == recall([(s - mu) / sigma for s in abundance(spec.positives)],
+                                          bias)
+
+    def test_entropy_column_equals_the_model_path(self):
+        # recall_b and fpr_b: what train, calibrate_fpr and measure_fpr give.
+        cfg = tiny_config()
+        report = run_experiment1(cfg)
+        for spec in cfg.categories:
+            model, fpr = calibrate_fpr(train(spec.glossary, cfg.background, cfg.k),
+                                       spec.glossary, cfg.negatives, cfg.target_fpr)
+            row = report.per_category[spec.name]
+            assert (row.fpr_b, row.recall_b) == (
+                fpr, measure_fpr(model, spec.glossary, spec.positives))
 
     def test_single_category_omits_anova(self):
         report = run_experiment1(tiny_config(n_categories=1))

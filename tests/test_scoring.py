@@ -26,11 +26,10 @@ from entropy_classifier.scoring import (
 from entropy_classifier.text import Document, corpus_from_texts
 
 from conftest import BACKGROUND_TEXTS, FINANCE_PHRASES, random_glossary_and_doc
-from oracles import naive_pipeline
+from oracles import naive_abundance, naive_entropy, naive_pipeline
 
 
-def make_model(glossary, idf, mu=0.0, sigma=1.0, bias=3.0, k=100,
-               entropy_weighted=True, n_docs=10):
+def make_model(glossary, idf, mu=0.0, sigma=1.0, bias=3.0, k=100, n_docs=10):
     """Direct model construction so tests control idf/mu/sigma exactly."""
     return BackgroundModel(
         category=glossary.category,
@@ -43,7 +42,6 @@ def make_model(glossary, idf, mu=0.0, sigma=1.0, bias=3.0, k=100,
         sigma=sigma,
         k=k,
         bias=bias,
-        entropy_weighted=entropy_weighted,
     )
 
 
@@ -102,9 +100,31 @@ class TestMatchDistribution:
         # repr tells -0.0 (one species) from 0.0 (no match), and shows every bit.
         tf = MatchProfile(tf=dict(enumerate(counts)), total_matches=sum(counts))
         idf = dict.fromkeys(range(len(counts)), 1.0)
-        entropy = _score_profile(tf, 100, idf, 50, True)[3]
+        entropy = _score_profile(tf, 100, idf, 50)[3]
         p = {kid: n / tf.total_matches for kid, n in tf.tf.items()}
         assert repr(entropy) == repr(shannon_entropy(p))
+
+
+class TestSameBitsOnEveryPython:
+    # Since Python 3.12, sum() of floats is compensated. These inputs change
+    # in their last bit under it, so both sums must stay plain left folds.
+    @pytest.mark.parametrize("counts,idf", [
+        ((1, 1, 1), (1.0, 1e-16, 1e-16)),  # a compensated tfidf_over_L is 1 + 2**-52
+        ((1, 5, 1), (1.0, 1.0, 1.0)),  # a compensated entropy is one ulp off
+    ])
+    def test_kernel_sums_are_left_folds(self, counts, idf):
+        tf = MatchProfile(dict(enumerate(counts)), sum(counts))
+        idf = dict(enumerate(idf))
+        _, _, tfidf_over_L, entropy, raw = _score_profile(tf, 1, idf, 1)
+        assert tfidf_over_L.hex() == naive_abundance(tf.tf, idf, 1, 1).hex()
+        assert entropy.hex() == naive_entropy(tf.tf).hex()
+        assert raw.hex() == (entropy * tfidf_over_L).hex()
+
+    def test_signed_zero_entropies(self):
+        # score prints a single species' entropy as -0 and no match's as 0.
+        one, none = (_score_profile(MatchProfile(tf, sum(tf.values())), 5, {0: 1.0}, 1)
+                     for tf in ({0: 4}, {}))
+        assert (repr(one[3]), repr(none[3])) == ("-0.0", "0.0")
 
 
 class TestShannonEntropy:
@@ -212,11 +232,14 @@ class TestRawScore:
             raw_score(Document.from_text("d", "a"), g2, m)
 
     def test_ablation_drops_entropy_factor(self):
+        # Experiment 1's ablation score is the kernel's tfidf_over_L: the raw
+        # score without its entropy factor.
         g = make_glossary("x", [("a",), ("b",)])
-        m = make_model(g, {0: 1.0, 1: 1.0}, entropy_weighted=False)
-        b = raw_score(Document.from_text("d", "a b"), g, m)
-        assert b.raw_score == b.tfidf_over_L
-        assert b.entropy > 0  # breakdown still reports the true entropy
+        b = raw_score(Document.from_text("d", "a b"), g, make_model(g, {0: 1.0, 1: 1.0}))
+        ablation = _score_profile(b.tf, b.word_count, {0: 1.0, 1: 1.0}, 100)[2]
+        assert ablation == b.tfidf_over_L == 2.0 / 100
+        assert b.entropy == pytest.approx(math.log(2), rel=1e-15)
+        assert b.raw_score == b.entropy * ablation
 
 
 class TestCacheLifetime:
@@ -289,12 +312,11 @@ class TestStandardizedScores:
                          max_size=12),
            idf=st.lists(st.floats(0.01, 8.0), min_size=4, max_size=4),
            mu=st.floats(-2.0, 2.0), sigma=st.floats(1e-3, 4.0),
-           k=st.sampled_from([1, 5, 100]), entropy_weighted=st.booleans())
+           k=st.sampled_from([1, 5, 100]))
     @settings(max_examples=150)
-    def test_bit_identical_to_breakdown_path(self, docs, idf, mu, sigma, k, entropy_weighted):
+    def test_bit_identical_to_breakdown_path(self, docs, idf, mu, sigma, k):
         g = make_glossary("x", [("a",), ("a", "b"), ("c",), ("d", "c")])
-        m = make_model(g, dict(enumerate(idf)), mu=mu, sigma=sigma, k=k,
-                       entropy_weighted=entropy_weighted)
+        m = make_model(g, dict(enumerate(idf)), mu=mu, sigma=sigma, k=k)
         corpus = corpus_from_texts([" ".join(d) for d in docs])
         want = [b.standardized.hex() for b in score_corpus(corpus, g, m)]
         assert [s.hex() for s in standardized_scores(corpus, g, m)] == want
