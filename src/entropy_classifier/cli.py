@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import records
 from .background import train
@@ -32,7 +31,6 @@ from .experiments import (
     verify_table,
 )
 from .glossary import load_glossary, match_corpus
-from .logreg import LrParams
 from .model import load_model, rewrite_bias_line, save_model
 from .records import format_float
 from .scoring import score_corpus, standardized_scores
@@ -73,13 +71,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--category", default=None,
                    help="category name (default: glossary file stem)")
 
-    p = sub.add_parser("calibrate", help="set the model bias (FPR target or direct)")
+    p = sub.add_parser("calibrate", help="set the model bias for an FPR target on negatives")
     p.add_argument("--model", required=True)
-    p.add_argument("--glossary", default=None)
-    p.add_argument("--negatives", default=None, help="negative corpus path")
+    p.add_argument("--glossary", required=True)
+    p.add_argument("--negatives", required=True, help="negative corpus path")
     target_fpr(p)
-    p.add_argument("--bias", type=float, default=None,
-                   help="set the bias directly instead of calibrating")
     output(p)
 
     p = sub.add_parser("score", help="score every document in a corpus")
@@ -114,9 +110,6 @@ def _build_parser() -> _Parser:
                    dest="categories")
     k(p)
     target_fpr(p)
-    p.add_argument("--l2", type=float, default=LrParams.l2)
-    p.add_argument("--epochs", type=int, default=LrParams.epochs)
-    p.add_argument("--learning-rate", type=float, default=LrParams.learning_rate)
     output(p)
 
     p = sub.add_parser("verify-tables", help="recheck bundled golden recall tables")
@@ -158,20 +151,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     # The report would replace the model file it rewrites.
     if args.output is not None and _same_file(args.output, args.model):
         raise ValidationError(f"calibrate --output {args.output} is the --model file")
-    if (args.bias is None) == (args.negatives is None):
-        raise ValidationError("calibrate needs exactly one of --bias or --negatives")
-    if args.bias is not None:
-        updated, report = replace(model, bias=args.bias), []
-    elif args.glossary is None:
-        raise ValidationError("calibrate --negatives needs --glossary")
-    else:
-        glossary = load_glossary(args.glossary)
-        negatives = read_documents(args.negatives)
-        updated, achieved_fpr = calibrate_fpr(model, glossary, negatives, args.target_fpr)
-        report = [("achieved_fpr", format_float(achieved_fpr)),
-                  ("target_fpr", format_float(args.target_fpr)),
-                  ("n_negatives", _n_docs(glossary, negatives))]
-    text = records.render([("bias", format_float(updated.bias)), *report])
+    glossary = load_glossary(args.glossary)
+    negatives = read_documents(args.negatives)
+    updated, achieved_fpr = calibrate_fpr(model, glossary, negatives, args.target_fpr)
+    text = records.render([("bias", format_float(updated.bias)),
+                           ("achieved_fpr", format_float(achieved_fpr)),
+                           ("target_fpr", format_float(args.target_fpr)),
+                           ("n_negatives", _n_docs(glossary, negatives))])
     # The model checked the bias, so the file gets only a bias it will load.
     # An --output report is staged first: a fault writing it keeps the model.
     with records.staged(args.output, text):
@@ -234,9 +220,6 @@ def _experiment_config(args: argparse.Namespace, with_b: bool) -> ExperimentConf
         negatives=negatives,
         k=args.k,
         target_fpr=args.target_fpr,
-        # exp1 trains no LR model, so it has no LR flags.
-        lr=(LrParams(l2=args.l2, epochs=args.epochs, learning_rate=args.learning_rate)
-            if with_b else LrParams()),
     )
 
 

@@ -104,10 +104,12 @@ def load_glossary(source, category: str | None = None) -> Glossary:
 
     A line that normalizes to zero tokens is a validation error naming the
     line number; so is a file that yields no phrases at all. The category
-    defaults to the file stem.
+    defaults to the file stem. One leading byte order mark (U+FEFF) is
+    dropped, so an editor's BOM neither turns a first-line comment into a
+    phrase nor makes a blank first line tokenless.
     """
     path = Path(source)
-    content = records.read_text(path, f"glossary {path}")
+    content = records.read_text(path, f"glossary {path}").removeprefix("\ufeff")
     phrases = []
     for lineno, line in enumerate(content.split("\n"), start=1):
         if line.startswith("#") or line.strip() == "":

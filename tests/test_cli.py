@@ -403,25 +403,19 @@ class TestKbFileFaults:
         rc = self.run(workspace, command, {"--model": path})
         self.assert_refused(workspace, capsys, rc, code, message, before)
 
-    def run_output(self, ws, command, out):
-        if command == "calibrate-bias":
-            return main(["calibrate", "--model", str(ws / "model.txt"), "--bias", "1.25",
-                         "--output", str(out)])
-        return self.run(ws, command, {"--output": out})
-
-    @pytest.mark.parametrize("command", ["calibrate", "calibrate-bias", "score", "evaluate"])
+    @pytest.mark.parametrize("command", ["calibrate", "score", "evaluate"])
     def test_missing_output_directory_exits_2(self, workspace, capsys, command):
         run_train(workspace)
         (workspace / "out.txt").write_text("previous output\n", encoding="utf-8")
         before = (workspace / "model.txt").read_bytes()
         capsys.readouterr()
         out = workspace / "nodir" / "out.txt"
-        rc = self.run_output(workspace, command, out)
+        rc = self.run(workspace, command, {"--output": out})
         # calibrate stages its report before it rewrites the model's bias.
         self.assert_refused(workspace, capsys, rc, 2, f"cannot write {out}: ", before)
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("command", ["calibrate", "calibrate-bias"])
+    @pytest.mark.parametrize("command", ["calibrate"])
     def test_output_that_is_a_directory_keeps_model(self, workspace, capsys, command):
         run_train(workspace)
         (workspace / "out.txt").write_text("previous output\n", encoding="utf-8")
@@ -429,7 +423,7 @@ class TestKbFileFaults:
         capsys.readouterr()
         out = workspace / "outdir"
         out.mkdir()
-        rc = self.run_output(workspace, command, out)
+        rc = self.run(workspace, command, {"--output": out})
         self.assert_refused(workspace, capsys, rc, 2, f"cannot write {out}: ", before)
         assert list(out.iterdir()) == []
 
@@ -456,7 +450,7 @@ class TestKbFileFaults:
             self.assert_refused(workspace, capsys, rc, 2, "cannot write ", before)
 
     @pytest.mark.parametrize("spelling", ["dot", "symlink", "hard-link"])
-    @pytest.mark.parametrize("command", ["calibrate", "calibrate-bias"])
+    @pytest.mark.parametrize("command", ["calibrate"])
     def test_output_that_is_the_model_exits_1(self, workspace, capsys, command, spelling):
         # The report would otherwise replace the model it rewrites.
         run_train(workspace)
@@ -472,7 +466,7 @@ class TestKbFileFaults:
         else:
             out = workspace / "link.txt"
             out.hardlink_to(model)
-        rc = self.run_output(workspace, command, out)
+        rc = self.run(workspace, command, {"--output": out})
         self.assert_refused(workspace, capsys, rc, 1, "is the --model file", before)
 
 
@@ -558,23 +552,6 @@ class TestCalibrate:
         assert self.calibrate(workspace, "--target-fpr", "0.1") == 0
         assert stat.S_IMODE((workspace / "model.txt").stat().st_mode) == 0o600
 
-    def test_direct_bias_mode(self, workspace, capsys):
-        run_train(workspace)
-        rc = main(["calibrate", "--model", str(workspace / "model.txt"),
-                   "--bias", "1.25"])
-        assert rc == 0
-        assert load_model(workspace / "model.txt").bias == 1.25
-        assert capsys.readouterr().out == "bias 1.25\n"
-
-    @pytest.mark.parametrize("bias", ["inf", "-inf", "nan"])
-    def test_nonfinite_bias_exits_1_and_keeps_model(self, workspace, capsys, bias):
-        run_train(workspace)
-        before = (workspace / "model.txt").read_bytes()
-        rc = main(["calibrate", "--model", str(workspace / "model.txt"), f"--bias={bias}"])
-        assert rc == 1
-        assert "bias must be finite" in capsys.readouterr().err
-        assert (workspace / "model.txt").read_bytes() == before
-
     @pytest.mark.parametrize("fault", WRITE_FAULTS)
     def test_failed_bias_write_keeps_model(self, workspace, capsys, monkeypatch, fault):
         run_train(workspace)
@@ -582,12 +559,13 @@ class TestCalibrate:
         before, names = path.read_bytes(), sorted(p.name for p in workspace.iterdir())
         capsys.readouterr()
         raised = inject_write_fault(monkeypatch, fault)
-        args = ["calibrate", "--model", str(path), "--bias", "1.25"]
+        # No --output: the report goes to stdout, and only the model's
+        # rewrite can fail.
         if raised is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):
-                main(args)
+                self.calibrate(workspace)
         else:
-            assert main(args) == 2
+            assert self.calibrate(workspace) == 2
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith(f"error: cannot write {path}: ")
@@ -604,18 +582,26 @@ class TestCalibrate:
         assert "finite" in capsys.readouterr().err
         assert path.read_bytes() == before
 
-    def test_both_modes_rejected(self, workspace, capsys):
-        run_train(workspace)
-        rc = self.calibrate(workspace, "--bias", "1.0")
-        assert rc == 1
-        assert "exactly one of" in capsys.readouterr().err
-
     def test_fpr_mode_requires_glossary(self, workspace, capsys):
+        # calibrate only calibrates to an FPR target: it needs both inputs.
         run_train(workspace)
-        rc = main(["calibrate", "--model", str(workspace / "model.txt"),
-                   "--negatives", str(workspace / "negs.txt")])
-        assert rc == 1
-        assert "--glossary" in capsys.readouterr().err
+        before = (workspace / "model.txt").read_bytes()
+        for flag, given, name in [("--glossary", "--negatives", "negs.txt"),
+                                  ("--negatives", "--glossary", "gloss.txt")]:
+            rc = main(["calibrate", "--model", str(workspace / "model.txt"),
+                       given, str(workspace / name)])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"required: {flag}" in captured.err
+            assert (workspace / "model.txt").read_bytes() == before
+
+    def test_bias_flag_is_gone(self, workspace, capsys):
+        run_train(workspace)
+        before = (workspace / "model.txt").read_bytes()
+        assert self.calibrate(workspace, "--bias", "1.25") == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert (workspace / "model.txt").read_bytes() == before
 
 
 class TestEvaluate:
@@ -706,31 +692,25 @@ class TestExperimentCommands:
                    str(ws / "p0.txt"), str(ws / "p0b.txt"),
                    "--category", "cat1", str(ws / "g1.txt"),
                    str(ws / "p1.txt"), str(ws / "p1b.txt"),
-                   "--target-fpr", "0.1", "--k", "10", "--epochs", "120"])
+                   "--target-fpr", "0.1", "--k", "10"])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("report exp2\n")
         assert "category cat0/lr" in out
         assert "category cat0/kb" in out
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--learning-rate", "-0.5"], "learning_rate must be finite and >= 0"),
-        (["--learning-rate", "inf"], "learning_rate must be finite and >= 0"),
-        (["--l2", "nan"], "l2 must be finite and >= 0"),
-        (["--epochs", "-1"], "epochs must be >= 0"),
-    ], ids=["flag-negative-rate", "flag-inf-rate", "flag-nan-l2", "flag-negative-epochs"])
-    def test_exp2_bad_lr_hyperparameters_exit_1(self, tmp_path, capsys, flags, message):
+    @pytest.mark.parametrize("flag", ["--l2", "--epochs", "--learning-rate"])
+    def test_lr_flags_are_gone(self, tmp_path, capsys, flag):
+        # exp2's LR baseline trains at LrParams() only.
         ws = build_exp_workspace(tmp_path)
         rc = main(["exp2", "--background", str(ws / "bg.txt"),
                    "--negatives", str(ws / "negs.txt"),
                    "--category", "cat0", str(ws / "g0.txt"),
-                   str(ws / "p0.txt"), str(ws / "p0b.txt"),
-                   "--target-fpr", "0.1", "--k", "10", "--epochs", "20"] + flags)
+                   str(ws / "p0.txt"), str(ws / "p0b.txt"), flag, "1"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert message in captured.err
-        assert "diverged" not in captured.err
+        assert "unrecognized arguments" in captured.err
 
     def test_category_name_unencodable_on_stdout_exits_1(self, tmp_path, capsys, monkeypatch):
         # A lone surrogate is a valid category name until the records are
@@ -747,20 +727,6 @@ class TestExperimentCommands:
         assert stdout.buffer.getvalue() == b""
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "surrogates not allowed" in line
-
-    def test_exp2_divergence_exits_1_without_warning(self, tmp_path, capsys):
-        ws = build_exp_workspace(tmp_path)
-        rc = main(["exp2", "--background", str(ws / "bg.txt"),
-                   "--negatives", str(ws / "negs.txt"),
-                   "--category", "cat0", str(ws / "g0.txt"),
-                   str(ws / "p0.txt"), str(ws / "p0b.txt"),
-                   "--target-fpr", "0.1", "--k", "10", "--epochs", "3",
-                   "--learning-rate", "1e308"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "diverged" in captured.err
-        assert "RuntimeWarning" not in captured.err
 
     @pytest.mark.parametrize("command,a_lines,b_lines,corpus", [
         ("exp1", [], None, "corpus A"),

@@ -24,7 +24,7 @@ from entropy_classifier.experiments import (
     verify_table,
 )
 from entropy_classifier.glossary import make_glossary
-from entropy_classifier.logreg import calibrate_lr_threshold, lr_measure_fpr, train_lr
+from entropy_classifier.logreg import LrParams, calibrate_lr_threshold, lr_measure_fpr, train_lr
 from entropy_classifier.stats import recall
 from entropy_classifier.synthetic import SuiteParams, build_suite
 from entropy_classifier.text import Corpus, Document, corpus_from_texts
@@ -219,7 +219,7 @@ class TestExperiment2:
             kb, _ = calibrate_fpr(kb, spec.glossary, cfg.negatives, cfg.target_fpr)
             assert (report.per_category[f"{spec.name}/kb"].fpr_a
                     == measure_fpr(kb, spec.glossary, cfg.negatives))
-            lr = train_lr(split_alternating(spec.positives)[0], cfg.background, cfg.lr)
+            lr = train_lr(split_alternating(spec.positives)[0], cfg.background, LrParams())
             lr, _ = calibrate_lr_threshold(lr, cfg.negatives, cfg.target_fpr)
             assert report.per_category[f"{spec.name}/lr"].fpr_a == lr_measure_fpr(lr, cfg.negatives)
 
@@ -258,7 +258,7 @@ class TestExperiment2:
         assert shared[0] is not cfg.negatives and all(n is shared[0] for n in shared)
         for spec, (got, got_fpr) in zip(cfg.categories, calibrated):
             a_train = split_alternating(spec.positives)[0]
-            want, want_fpr = calibrate_lr_threshold(train_lr(a_train, cfg.background, cfg.lr),
+            want, want_fpr = calibrate_lr_threshold(train_lr(a_train, cfg.background, LrParams()),
                                                     cfg.negatives, cfg.target_fpr)
             assert got.vocabulary == want.vocabulary
             assert np.array_equal(got.weights, want.weights)

@@ -81,6 +81,16 @@ class TestLoadGlossary:
         p = self.write(tmp_path, "audit # annual\n")
         assert load_glossary(p).phrases == (("audit", "annual"),)
 
+    @pytest.mark.parametrize("text", ["# finance terms\nTax Return\naudit\n",
+                                      "\nTax Return\naudit\n"],
+                             ids=["comment-first", "blank-first"])
+    def test_leading_bom_is_dropped(self, tmp_path, text):
+        # An editor's byte order mark must neither turn a first-line comment
+        # into a phrase nor make a blank first line tokenless.
+        plain = load_glossary(self.write(tmp_path, text))
+        assert plain.phrases == (("audit",), ("tax", "return"))
+        assert load_glossary(self.write(tmp_path, "\ufeff" + text)) == plain
+
     def test_invalid_utf8(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_bytes(b"\xff\xfe")

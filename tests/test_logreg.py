@@ -333,10 +333,12 @@ class TestTrainLr:
     @pytest.mark.parametrize("name,value", [
         ("l2", -1e-4), ("l2", math.nan), ("l2", math.inf),
         ("learning_rate", -0.5), ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("epochs", -1),
     ])
     def test_invalid_hyperparameters_rejected(self, name, value):
         pos, neg = make_training_corpora()
-        with pytest.raises(ValidationError, match=f"{name} must be finite and >= 0"):
+        message = "epochs must be >= 0" if name == "epochs" else f"{name} must be finite and >= 0"
+        with pytest.raises(ValidationError, match=message):
             train_lr(pos, neg, replace(LrParams(), **{name: value}))
 
     def test_empty_corpora_rejected(self):
