@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def output(p):
-        p.add_argument("--output", "-o", default=None,
+        p.add_argument("--output", default=None,
                        help="write results here instead of stdout")
 
     def k(p):
@@ -64,12 +64,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--target-fpr", type=float, default=ExperimentConfig.target_fpr)
 
     p = sub.add_parser("train", help="fit a background model for one glossary")
-    p.add_argument("--glossary", required=True)
+    p.add_argument("--glossary", required=True, help="its file stem names the category")
     p.add_argument("--background", required=True, help="background corpus path")
     p.add_argument("--out", required=True, help="model file to write")
     k(p)
-    p.add_argument("--category", default=None,
-                   help="category name (default: glossary file stem)")
 
     p = sub.add_parser("calibrate", help="set the model bias for an FPR target on negatives")
     p.add_argument("--model", required=True)
@@ -126,7 +124,7 @@ def _n_docs(glossary, corpus) -> str:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    glossary = load_glossary(args.glossary, category=args.category)
+    glossary = load_glossary(args.glossary)
     model = train(glossary, read_documents(args.background), args.k)
     save_model(model, args.out)
     print(

@@ -18,8 +18,9 @@ encodes the background and the negatives once (logreg._encode), and every
 category's train_lr and calibrate_lr_threshold share them. Each row's FPR on
 the negatives is the one calibration achieved: threshold_for_scores,
 calibrate_fpr and calibrate_lr_threshold each return it, so no classifier
-scores the negatives twice. A knowledge-based recall in experiment 2 is
-calibration.measure_fpr of the positives: the rate of any corpus.
+scores the negatives twice. A recall in experiment 2 is the rate of the
+positives: calibration.measure_fpr for the knowledge-based model,
+logreg.lr_measure_fpr for the LR.
 
 verify_tables recomputes aggregates from bundled golden recall tables and
 checks them against the expectations recorded in the files themselves. A
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from . import records
@@ -44,13 +44,13 @@ from .background import fit_idf, fit_standardization, train
 from .calibration import calibrate_fpr, measure_fpr, threshold_for_scores
 from .errors import ValidationError
 from .glossary import Glossary, _match_corpora, match_corpus
-from .logreg import _encode, calibrate_lr_threshold, lr_logit, train_lr
+from .logreg import _encode, calibrate_lr_threshold, lr_measure_fpr, train_lr
 from .model import BackgroundModel
 from .records import format_float
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches
-# score_document, lr_decision and lr_measure_fpr under this module's name, so
-# the names must stay bound.
-from .logreg import lr_decision, lr_measure_fpr  # noqa: F401
+# score_document and lr_decision under this module's name, so the names must
+# stay bound.
+from .logreg import lr_decision  # noqa: F401
 from .scoring import score_document  # noqa: F401
 from .scoring import _score_profile, _standardize
 from .stats import AnovaResult, fractional_change, one_way_anova, recall
@@ -233,7 +233,7 @@ def run_experiment2(config: ExperimentConfig) -> EvalReport:
                                    spec.glossary, config.negatives, config.target_fpr)
         lr, lr_fpr = calibrate_lr_threshold(train_lr(a_train, background),
                                             negatives, config.target_fpr)
-        lr_ra, lr_rb = (recall(lr_logit(lr, c), lr.threshold_bias) for c in (a_eval, corpus_b))
+        lr_ra, lr_rb = (lr_measure_fpr(lr, c) for c in (a_eval, corpus_b))
         kb_ra, kb_rb = (measure_fpr(kb, spec.glossary, c) for c in (a_eval, corpus_b))
         for label, ra, rb, fpr in (("lr", lr_ra, lr_rb, lr_fpr), ("kb", kb_ra, kb_rb, kb_fpr)):
             name = f"{spec.name}/{label}"
@@ -331,11 +331,8 @@ class TableReport:
 
 def bundled_golden_paths() -> list[Path]:
     """The two recall tables shipped with the package, in a fixed order."""
-    root = resources.files("entropy_classifier") / "golden"
-    return [
-        Path(str(root / "recall_entropy_ablation.txt")),
-        Path(str(root / "recall_distribution_shift.txt")),
-    ]
+    root = Path(__file__).with_name("golden")
+    return [root / "recall_entropy_ablation.txt", root / "recall_distribution_shift.txt"]
 
 
 def _parse_golden(path: Path):

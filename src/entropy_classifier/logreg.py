@@ -273,5 +273,7 @@ def calibrate_lr_threshold(model: LrModel, negatives: Corpus,
     return replace(model, threshold_bias=bias), achieved
 
 
-def lr_measure_fpr(model: LrModel, negatives: Corpus) -> float:
-    return recall(lr_logit(model, negatives), model.threshold_bias)
+def lr_measure_fpr(model: LrModel, corpus: Corpus) -> float:
+    """Fraction of the corpus the model classifies positive: the FPR of
+    negatives, the recall of positives."""
+    return recall(lr_logit(model, corpus), model.threshold_bias)

@@ -30,14 +30,6 @@ FORMAT_VERSION = 1
 _RECORD = re.compile(r"(\S*)(?:\s(.*))?", re.DOTALL)
 
 
-def read_bytes(path) -> bytes:
-    try:
-        with open(path, "rb") as f:
-            return f.read()
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {Path(path)}: {exc.strerror or exc}") from exc
-
-
 def read_lines(path):
     """The file's bytes, one line (split after each b"\\n") at a time."""
     try:
@@ -50,7 +42,10 @@ def read_lines(path):
 def read_text(path, label: str) -> str:
     """The file decoded as UTF-8; label prefixes the decode error."""
     try:
-        return read_bytes(path).decode("utf-8")
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
+    except OSError as exc:
+        raise InputOutputError(f"cannot read {Path(path)}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{label}: not valid UTF-8 ({exc})") from exc
 

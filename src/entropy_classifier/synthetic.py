@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 from .experiments import CategorySpec, ExperimentConfig
 from .glossary import make_glossary
-from .model import BackgroundModel
 from .text import corpus_from_texts
 
 
 # Each category's glossary holds N_UNIGRAMS one-token and N_BIGRAMS two-token
-# phrases; its domain-A positives draw from N_TOPIC topic tokens.
+# phrases; its domain-A positives draw from N_TOPIC topic tokens. Each domain
+# has FILLER_VOCAB filler words, and SPAM_FRACTION of the negatives are spam.
 N_UNIGRAMS, N_BIGRAMS, N_TOPIC = 10, 2, 8
+FILLER_VOCAB, SPAM_FRACTION = 300, 0.15
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,7 @@ class SuiteParams:
     n_background: int = 240
     n_negatives: int = 200
     n_positives: int = 40
-    filler_vocab: int = 300
-    spam_fraction: float = 0.15
     target_fpr: float = 0.02
-    k: int = BackgroundModel.k
 
 
 def _compose(rng: random.Random, filler: list[str], n_filler: int, phrases) -> str:
@@ -58,7 +56,7 @@ def _compose(rng: random.Random, filler: list[str], n_filler: int, phrases) -> s
 def build_suite(params: SuiteParams) -> ExperimentConfig:
     """One experiment-1 configuration with planted positives and spam negatives."""
     rng = random.Random(params.seed)
-    filler = [f"w{j:03d}" for j in range(params.filler_vocab)]
+    filler = [f"w{j:03d}" for j in range(FILLER_VOCAB)]
 
     category_phrases = []
     for c in range(params.n_categories):
@@ -74,14 +72,14 @@ def build_suite(params: SuiteParams) -> ExperimentConfig:
 
     negatives = []
     for _ in range(params.n_negatives):
-        if rng.random() < params.spam_fraction:
+        if rng.random() < SPAM_FRACTION:
             spam = rng.choice(flat)
             inserts = [spam] * rng.randint(12, 25)
         else:
             inserts = [rng.choice(flat) for _ in range(rng.randint(0, 2))]
         negatives.append(_compose(rng, filler, rng.randint(80, 140), inserts))
 
-    filler_b = [f"v{j:03d}" for j in range(params.filler_vocab)]
+    filler_b = [f"v{j:03d}" for j in range(FILLER_VOCAB)]
     categories = []
     for c, phrases in enumerate(category_phrases):
         topics = [(f"tp{c}x{i}",) for i in range(N_TOPIC)]
@@ -107,6 +105,5 @@ def build_suite(params: SuiteParams) -> ExperimentConfig:
         categories=tuple(categories),
         background=corpus_from_texts(background, source=f"<synthetic:{params.seed}:bg>"),
         negatives=corpus_from_texts(negatives, source=f"<synthetic:{params.seed}:neg>"),
-        k=params.k,
         target_fpr=params.target_fpr,
     )

@@ -56,13 +56,23 @@ def write_tiny_sigma(ws):
     return path
 
 
-def run_train(ws, **extra):
-    args = ["train", "--glossary", str(ws / "gloss.txt"),
+def run_train(ws, glossary="gloss.txt", **extra):
+    args = ["train", "--glossary", str(ws / glossary),
             "--background", str(ws / "corpus"),
             "--out", str(ws / "model.txt")]
     for flag, value in extra.items():
         args += [f"--{flag.replace('_', '-')}", str(value)]
     return main(args)
+
+
+def glossary_named(ws, name):
+    """A copy of the workspace glossary under name, or a skip where the
+    filesystem refuses that name; return name."""
+    try:
+        (ws / name).write_text(GLOSSARY, encoding="utf-8")
+    except (OSError, UnicodeEncodeError):
+        pytest.skip(f"the filesystem refuses the file name {name!r}")
+    return name
 
 
 class TestTrain:
@@ -76,10 +86,17 @@ class TestTrain:
         assert "trained category=gloss" in err
 
     def test_category_and_k_flags(self, workspace):
-        assert run_train(workspace, category="fin", k=20) == 0
+        # The category is the glossary file's stem; there is no flag for it.
+        assert run_train(workspace, glossary_named(workspace, "fin.terms.txt"), k=20) == 0
         model = load_model(workspace / "model.txt")
-        assert model.category == "fin"
+        assert model.category == "fin.terms"
         assert model.k == 20
+
+    def test_category_flag_is_gone(self, workspace, capsys):
+        names = sorted(p.name for p in workspace.iterdir())
+        assert run_train(workspace, category="fin") == 1
+        assert "unrecognized arguments: --category fin" in capsys.readouterr().err
+        assert sorted(p.name for p in workspace.iterdir()) == names
 
     def test_missing_flag_names_it(self, capsys):
         assert main(["train", "--glossary", "g.txt"]) == 1
@@ -87,22 +104,27 @@ class TestTrain:
         assert "--background" in err
 
     def test_newline_in_category_exits_1_without_writing(self, workspace, capsys):
-        assert run_train(workspace, category="a\nbias 9") == 1
-        assert "newline" in capsys.readouterr().err
+        assert run_train(workspace, glossary_named(workspace, "a\nbias 9.txt")) == 1
+        assert "category 'a\\nbias 9' contains a newline" in capsys.readouterr().err
         assert not (workspace / "model.txt").exists()
 
-    def test_unencodable_category_keeps_existing_model(self, workspace):
-        # A command-line byte that is not UTF-8 arrives as a lone surrogate.
+    def test_unencodable_category_keeps_existing_model(self, workspace, capsys):
+        # A file name byte that is not UTF-8 arrives as a lone surrogate.
+        glossary = glossary_named(workspace, "fin\udcff.txt")
         assert run_train(workspace) == 0
         before = (workspace / "model.txt").read_bytes()
         names = sorted(p.name for p in workspace.iterdir())
-        assert run_train(workspace, category="fin\udcff") == 1
+        capsys.readouterr()
+        assert run_train(workspace, glossary) == 1
+        assert "text is not encodable as UTF-8" in capsys.readouterr().err
         assert (workspace / "model.txt").read_bytes() == before
         assert sorted(p.name for p in workspace.iterdir()) == names
 
-    def test_unencodable_category_creates_no_file(self, workspace):
+    def test_unencodable_category_creates_no_file(self, workspace, capsys):
+        glossary = glossary_named(workspace, "fin\udcff.txt")
         names = sorted(p.name for p in workspace.iterdir())
-        assert run_train(workspace, category="fin\udcff") == 1
+        assert run_train(workspace, glossary) == 1
+        assert "text is not encodable as UTF-8" in capsys.readouterr().err
         assert sorted(p.name for p in workspace.iterdir()) == names
 
     def test_k_beyond_64_bits_exits_1(self, workspace, capsys):
@@ -214,6 +236,25 @@ class TestScore:
         first = (workspace / "scores.txt").read_bytes()
         assert main(args) == 0
         assert (workspace / "scores.txt").read_bytes() == first
+
+    @pytest.mark.parametrize("command,inputs", [
+        ("calibrate", ["--glossary", "gloss.txt", "--negatives", "negs.txt"]),
+        ("score", ["--glossary", "gloss.txt", "--input", "input.txt"]),
+        ("evaluate", ["--glossary", "gloss.txt", "--positives", "input.txt"]),
+    ])
+    def test_short_output_flag_is_gone(self, workspace, capsys, command, inputs):
+        run_train(workspace)
+        before = (workspace / "model.txt").read_bytes()
+        names = sorted(p.name for p in workspace.iterdir())
+        args = [command, "--model", str(workspace / "model.txt"),
+                *(str(workspace / a) if a.endswith(".txt") else a for a in inputs),
+                "-o", str(workspace / "out.txt")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: -o" in captured.err
+        assert (workspace / "model.txt").read_bytes() == before
+        assert sorted(p.name for p in workspace.iterdir()) == names
 
     @pytest.mark.parametrize("command,corpus_flag,blank", [
         ("score", "--input", False),

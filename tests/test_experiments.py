@@ -34,10 +34,10 @@ from oracles import naive_abundance, naive_idf, naive_match, naive_mean_std
 
 
 def tiny_config(n_categories=2, seed=5):
-    return build_suite(SuiteParams(
+    return replace(build_suite(SuiteParams(
         seed=seed, n_categories=n_categories, n_background=60, n_negatives=50,
-        n_positives=12, filler_vocab=80, target_fpr=0.05, k=50,
-    ))
+        n_positives=12, target_fpr=0.05,
+    )), k=50)
 
 
 def count_calls(monkeypatch, fn) -> list[int]:
@@ -290,7 +290,6 @@ class TestExperiment2:
 
         spy(calibration, "standardized_scores", "kb", 0)
         spy(logreg, "lr_logit", "lr", 1)
-        spy(experiments, "lr_logit", "lr", 1)
         run_experiment2(cfg)
         assert scored == {"kb": len(cfg.categories), "lr": len(cfg.categories)}
 

@@ -1,3 +1,4 @@
+import ast
 import doctest
 import importlib
 import json
@@ -85,3 +86,23 @@ def test_docstring_examples(name):
     result = doctest.testmod(module)
     assert result.failed == 0
     assert result.attempted > 0 or ">>>" not in Path(module.__file__).read_text(encoding="utf-8")
+
+
+# Bound only for the benchmark tracer (perfbench/tracer.py), which patches
+# these names in these modules.
+TRACER_BINDINGS = {("cli", "score_document"), ("experiments", "score_document"),
+                   ("experiments", "lr_decision")}
+
+
+def test_every_import_is_used_but_the_tracer_bindings():
+    unused = set()
+    for path in sorted((SRC / "entropy_classifier").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == TRACER_BINDINGS

@@ -51,7 +51,7 @@ class TestRead:
     def test_unreadable_path_is_io_error_naming_it(self, tmp_path, name, reason):
         (tmp_path / "d").mkdir()
         with pytest.raises(InputOutputError) as info:
-            records.read_bytes(str(tmp_path / name))
+            records.read_text(str(tmp_path / name), "label")
         assert str(info.value) == f"cannot read {tmp_path / name}: {reason}"
         assert info.value.exit_code == 2
 
