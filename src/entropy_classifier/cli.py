@@ -48,76 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="entropy-classifier", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def output(p):
-        p.add_argument("--output", default=None,
-                       help="write results here instead of stdout")
-
-    def k(p):
-        p.add_argument("--k", type=int, default=ExperimentConfig.k,
-                       help=f"length regularizer (default {ExperimentConfig.k})")
-
-    def target_fpr(p):
-        p.add_argument("--target-fpr", type=float, default=ExperimentConfig.target_fpr)
-
-    p = sub.add_parser("train", help="fit a background model for one glossary")
-    p.add_argument("--glossary", required=True, help="its file stem names the category")
-    p.add_argument("--background", required=True, help="background corpus path")
-    p.add_argument("--out", required=True, help="model file to write")
-    k(p)
-
-    p = sub.add_parser("calibrate", help="set the model bias for an FPR target on negatives")
-    p.add_argument("--model", required=True)
-    p.add_argument("--glossary", required=True)
-    p.add_argument("--negatives", required=True, help="negative corpus path")
-    target_fpr(p)
-    output(p)
-
-    p = sub.add_parser("score", help="score every document in a corpus")
-    p.add_argument("--model", required=True)
-    p.add_argument("--glossary", required=True)
-    p.add_argument("--input", required=True, help="corpus to score")
-    p.add_argument("--explain", action="store_true",
-                   help="append per-keyword contributions to each record")
-    output(p)
-
-    p = sub.add_parser("evaluate", help="measure recall (and FPR) of a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--glossary", required=True)
-    p.add_argument("--positives", required=True)
-    p.add_argument("--negatives", default=None)
-    output(p)
-
-    p = sub.add_parser("exp1", help="entropy ablation across categories")
-    p.add_argument("--background", required=True)
-    p.add_argument("--negatives", required=True)
-    p.add_argument("--category", required=True, action="append", nargs=3,
-                   metavar=("NAME", "GLOSSARY", "POSITIVES"), dest="categories")
-    k(p)
-    target_fpr(p)
-    output(p)
-
-    p = sub.add_parser("exp2", help="LR baseline vs keyword model under shift")
-    p.add_argument("--background", required=True)
-    p.add_argument("--negatives", required=True)
-    p.add_argument("--category", required=True, action="append", nargs=4,
-                   metavar=("NAME", "GLOSSARY", "POSITIVES_A", "POSITIVES_B"),
-                   dest="categories")
-    k(p)
-    target_fpr(p)
-    output(p)
-
-    p = sub.add_parser("verify-tables", help="recheck bundled golden recall tables")
-    p.add_argument("--golden-tables", action="append", default=None, dest="tables",
-                   help="table file (repeatable; default: the bundled tables)")
-    output(p)
-
-    return parser
-
-
 def _n_docs(glossary, corpus) -> str:
     """How many documents of a read corpus the glossary matched, with no second read."""
     return str(len(match_corpus(glossary, corpus)))
@@ -239,21 +169,71 @@ def _cmd_verify_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "train": _cmd_train,
-    "calibrate": _cmd_calibrate,
-    "score": _cmd_score,
-    "evaluate": _cmd_evaluate,
-    "exp1": _cmd_experiment,
-    "exp2": _cmd_experiment,
-    "verify-tables": _cmd_verify_tables,
+def _required(flag: str, help: str | None = None):
+    return flag, {"required": True, "help": help}
+
+
+def _categories(*metavar: str):
+    return "--category", {"required": True, "action": "append", "nargs": len(metavar),
+                          "metavar": metavar, "dest": "categories"}
+
+
+_OUTPUT = "--output", {"default": None, "help": "write results here instead of stdout"}
+_K = "--k", {"type": int, "default": ExperimentConfig.k,
+             "help": f"length regularizer (default {ExperimentConfig.k})"}
+_TARGET_FPR = "--target-fpr", {"type": float, "default": ExperimentConfig.target_fpr}
+_MODEL_AND_GLOSSARY = _required("--model"), _required("--glossary")
+
+# command -> (help, handler, options); each option is (flag, add_argument
+# keywords), in the order the command's --help lists them.
+_COMMANDS = {
+    "train": ("fit a background model for one glossary", _cmd_train, (
+        _required("--glossary", "its file stem names the category"),
+        _required("--background", "background corpus path"),
+        _required("--out", "model file to write"), _K)),
+    "calibrate": ("set the model bias for an FPR target on negatives", _cmd_calibrate, (
+        *_MODEL_AND_GLOSSARY, _required("--negatives", "negative corpus path"),
+        _TARGET_FPR, _OUTPUT)),
+    "score": ("score every document in a corpus", _cmd_score, (
+        *_MODEL_AND_GLOSSARY, _required("--input", "corpus to score"),
+        ("--explain", {"action": "store_true",
+                       "help": "append per-keyword contributions to each record"}),
+        _OUTPUT)),
+    "evaluate": ("measure recall (and FPR) of a model", _cmd_evaluate, (
+        *_MODEL_AND_GLOSSARY, _required("--positives"), ("--negatives", {"default": None}),
+        _OUTPUT)),
+    "exp1": ("entropy ablation across categories", _cmd_experiment, (
+        _required("--background"), _required("--negatives"),
+        _categories("NAME", "GLOSSARY", "POSITIVES"), _K, _TARGET_FPR, _OUTPUT)),
+    "exp2": ("LR baseline vs keyword model under shift", _cmd_experiment, (
+        _required("--background"), _required("--negatives"),
+        _categories("NAME", "GLOSSARY", "POSITIVES_A", "POSITIVES_B"),
+        _K, _TARGET_FPR, _OUTPUT)),
+    "verify-tables": ("recheck bundled golden recall tables", _cmd_verify_tables, (
+        ("--golden-tables", {"action": "append", "default": None, "dest": "tables",
+                             "help": "table file (repeatable; default: the bundled tables)"}),
+        _OUTPUT)),
 }
 
 
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser, declaring only the command argv names, or every command when
+    argv names none, so --help and an unknown command still list them all."""
+    parser = _Parser(prog="entropy-classifier", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        help_, _, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        args = _build_parser(argv).parse_args(argv)
+        return _COMMANDS[args.command][1](args)
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -372,6 +372,8 @@ def _parse_golden(path: Path):
                 raise bad(f"malformed expect on line {lineno}: {value!r}")
             expected, tol = (records.to_float(label, f"expect on line {lineno}", v)
                              for v in (parts[1], parts[3]))
+            if tol < 0.0:  # no value would pass
+                raise bad(f"negative tolerance on line {lineno}: {value!r}")
             expects.append((parts[0], expected, parts[2], tol))
         else:
             raise bad(f"unknown record {key!r} on line {lineno}")

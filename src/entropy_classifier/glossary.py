@@ -12,7 +12,9 @@ prefix (e.g. "tax return" and "tax") from both counting at the same spot.
 Since a position with no match only advances by one token, Matcher.profile
 visits just the positions whose token begins some phrase (a key of the trie's
 root) and that the previous match did not consume; skipping the others
-changes no result.
+changes no result. A document holding no such token (most background and
+negative documents) gets its empty profile from one set-level isdisjoint test,
+with no per-token scan; Matcher.profile still runs once per document.
 
 A glossary owns its caches: its digest and its compiled Matcher are computed
 on first use and stored on the instance; the Matcher keeps, weakly keyed by
@@ -20,8 +22,9 @@ corpus, the (word count, MatchProfile) list match_corpus returns, so each
 (glossary, corpus) pair is matched at most once while both live. A stream
 (text.read_documents) is read once: every glossary that needs its list must be
 in that one call. Glossaries lacking a list for the same corpus share one scan
-per document for their root keys (_match_corpora); each Matcher walks its trie
-from those positions only. Nothing is cached at module level.
+per document for their root keys (_match_corpora), skipped when the document
+holds none of any of them; each Matcher walks its trie from those positions
+only. Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ class MatchProfile:
     Invariant: tf iterates in ascending keyword id order, as Matcher.profile
     builds it, and total_matches is the sum of its counts. The scoring kernel
     reads tf once in that order and does not sort it, so the order fixes the
-    summation order of every score.
+    summation order of every score. A dataclass, not a named tuple, so that
+    a profile can be weakly referenced.
     """
 
     tf: dict[int, int]
@@ -136,6 +140,7 @@ class Matcher:
                 node = node.setdefault(tok, {})
             node[_TERM] = kid
         self._root = root
+        self._heads = frozenset(root)  # a set's isdisjoint beats the keys view's
         self._corpora = weakref.WeakKeyDictionary()  # corpus -> match_corpus's list
 
     def profile(self, tokens, starts=None) -> MatchProfile:
@@ -145,6 +150,8 @@ class Matcher:
         root = self._root
         n = len(tokens)
         if starts is None:
+            if self._heads.isdisjoint(tokens):
+                return MatchProfile(tf=tf, total_matches=0)
             starts = compress(range(n), map(root.__contains__, tokens))
         end = 0  # first position not consumed by the previous match
         for i in starts:
@@ -179,10 +186,11 @@ def _match_corpora(glossaries, *corpora) -> None:
                     if corpus not in m._corpora]
         if not matchers:
             continue
-        heads = set().union(*(m._root for m in matchers))
+        heads = frozenset().union(*(m._heads for m in matchers))
         lists = [[] for _ in matchers]
         for tokens in (doc.tokens for doc in corpus):
-            starts = list(compress(range(len(tokens)), map(heads.__contains__, tokens)))
+            starts = () if heads.isdisjoint(tokens) else list(
+                compress(range(len(tokens)), map(heads.__contains__, tokens)))
             for matcher, profiles in zip(matchers, lists):
                 profiles.append((len(tokens), matcher.profile(tokens, starts)))
         for matcher, profiles in zip(matchers, lists):

@@ -30,21 +30,22 @@ model.py), once, then runs the kernel and _standardize per document and
 builds no ScoreBreakdown. raw_score (public name score_document) serves the
 score command and --explain: it runs the kernel and predict, which
 standardizes a raw score and decides it, and builds one complete
-ScoreBreakdown per document; score_corpus checks the glossary once and calls
-raw_score for each document as it is read. Both paths compare the model
-against the glossary's cached digest (see glossary.py), and read a corpus,
-which may be a one-pass stream, to its end before they report a mismatch, so
-a read error in it comes first. The bulk path reads the corpus's (word count,
-match profile) list from glossary.match_corpus, so a corpus that training or
-calibration already matched costs no second match; raw_score matches its one
-document with glossary.match.
+ScoreBreakdown per document, an immutable named tuple (a frozen dataclass
+costs several times as much to build); score_corpus checks the glossary once
+and calls raw_score for each document as it is read. Both paths compare the
+model against the glossary's cached digest (see glossary.py), and read a
+corpus, which may be a one-pass stream, to its end before they report a
+mismatch, so a read error in it comes first. The bulk path reads the corpus's
+(word count, match profile) list from glossary.match_corpus, so a corpus that
+training or calibration already matched costs no second match; raw_score
+matches its one document with glossary.match.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .glossary import Glossary, MatchProfile, match, match_corpus
@@ -86,8 +87,7 @@ def sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(NamedTuple):
     """Full explainable trace of one document's score: raw_score is entropy
     times tfidf_over_L exactly. (tfidf_over_L alone is experiment 1's
     ablation score, which no model or breakdown carries.)"""

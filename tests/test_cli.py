@@ -1,3 +1,4 @@
+import argparse
 import io
 import random
 import stat
@@ -6,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from entropy_classifier import cli
 from entropy_classifier.cli import main
 from entropy_classifier.model import load_model
 
@@ -1046,3 +1048,50 @@ class TestVerifyTablesCommand:
     def test_missing_table_is_io_error(self, tmp_path, capsys):
         rc = main(["verify-tables", "--golden-tables", str(tmp_path / "nope.txt")])
         assert rc == 2
+
+
+COMMANDS = ["train", "calibrate", "score", "evaluate", "exp1", "exp2", "verify-tables"]
+
+
+def run_captured(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); --help exits through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    def test_declares_only_the_command_argv_names(self, monkeypatch, capsys):
+        declared = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            declared.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        for argv, want in ((["score", "--model", "m", "--glossary", "g", "--input", "i"],
+                            ["score"]),
+                           (["--help"], COMMANDS),
+                           (["bogus"], COMMANDS)):
+            declared.clear()
+            run_captured(capsys, argv)
+            assert declared == want, argv
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "--help"] for command in COMMANDS),
+        ["--help"],
+        ["bogus"],
+        [],
+        ["score", "--model", "m", "--glossary", "g"],
+        ["train", "--glossary", "g", "--background", "b", "--out", "o", "--k", "abc"],
+    ])
+    def test_same_bytes_as_the_all_commands_parser(self, monkeypatch, capsys, argv):
+        got = run_captured(capsys, argv)
+        build_parser = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: build_parser([]))
+        assert got == run_captured(capsys, argv)
+        assert got[0] in (0, 1)

@@ -412,6 +412,10 @@ class TestVerifyTable:
           "row b 0.2 0.3 0.4 0.5"], "unknown record 'labels' on line 4"),
         (["format_version 2", "kind recall_pair", "row a 0.1 0.2"],
          "unsupported format_version '2'"),
+        (["format_version 1", "kind recall_pair", "row a 0.45 0.2",
+          "expect mean_a 0.45 abs -0.1"], "negative tolerance on line 4: 'mean_a 0.45 abs -0.1'"),
+        (["format_version 1", "kind recall_pair", "row a 0.45 0.2",
+          "expect mean_a 0.45 rel inf"], "expect on line 4 must be finite"),
     ])
     def test_malformed_tables_rejected(self, tmp_path, lines, message):
         p = write_lines_file(tmp_path / "t.txt", lines)

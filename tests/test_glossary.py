@@ -238,3 +238,38 @@ class TestMatchCorpus:
                 assert profile.tf == naive
                 assert list(profile.tf) == sorted(naive)
                 assert profile.total_matches == sum(naive.values())
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_head_free_exit_equals_naive_scan(self, data):
+        # Glossary i's phrases start with a token of heads[i] and each glossary
+        # has a one-token phrase, so a head as a document's last token matches.
+        filler, heads = ["x", "y", "z"], (["a", "b"], ["c", "d"])
+        glossaries, singles = [], []
+        for i, own in enumerate(heads):
+            phrase = st.tuples(st.sampled_from(own),
+                               st.lists(st.sampled_from(filler + own), max_size=2))
+            phrases = data.draw(st.sets(phrase.map(lambda t: (t[0], *t[1])), max_size=5))
+            single = data.draw(st.sampled_from(own))
+            singles.append(single)
+            glossaries.append(make_glossary(f"g{i}", phrases | {(single,)}))
+
+        def words(vocab, min_size=0):
+            return st.lists(st.sampled_from(vocab), min_size=min_size, max_size=20)
+
+        kinds = st.one_of(
+            words(filler),  # no head
+            words(filler + heads[1]),  # heads of the second glossary only
+            # one head, the last token
+            st.tuples(words(filler), st.sampled_from(singles)).map(lambda t: t[0] + [t[1]]),
+            words(heads[0] + heads[1] + ["x"], min_size=1),  # dense
+        )
+        docs = data.draw(st.lists(kinds, min_size=1, max_size=6))
+        for tokens in docs:
+            for g in glossaries:
+                assert Matcher(g).profile(tuple(tokens)).tf == naive_match(g.phrases, tokens)
+        corpus = corpus_from_texts([" ".join(tokens) for tokens in docs])
+        _match_corpora(glossaries, corpus)
+        for g in glossaries:
+            got = [profile.tf for _, profile in match_corpus(g, corpus)]
+            assert got == [naive_match(g.phrases, tokens) for tokens in docs]

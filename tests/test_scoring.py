@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import random
@@ -281,10 +280,10 @@ class TestPredict:
     def test_no_field_is_none(self):
         g = make_glossary("x", [("a",), ("b",)])
         m = make_model(g, {0: 1.0, 1: 2.0})
-        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(ScoreBreakdown))
+        assert ScoreBreakdown._field_defaults == {}
         for text in ("", "nothing here", "a b a"):
             b = score_document(Document.from_text("d", text), g, m)
-            assert [f.name for f in dataclasses.fields(b) if getattr(b, f.name) is None] == []
+            assert [name for name in b._fields if getattr(b, name) is None] == []
 
     def test_nonpositive_sigma_rejected(self):
         # The model refuses to exist, so predict never sees sigma <= 0.
@@ -304,8 +303,8 @@ class TestStandardizedScores:
         for s_hat, b, doc in zip(scores, breakdowns, small_background):
             want = score_document(doc, finance_glossary, m)
             assert s_hat == want.standardized
-            for field in dataclasses.fields(want):
-                assert getattr(b, field.name) == getattr(want, field.name), field.name
+            for name in want._fields:
+                assert getattr(b, name) == getattr(want, name), name
 
 
     @given(docs=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "x", "y"]), max_size=40),
