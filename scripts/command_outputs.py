@@ -7,8 +7,9 @@ Usage:
 COMMANDS_JSON holds a JSON list of argument lists, one per command, run in
 order in this interpreter. OUT_DIR receives each command's stdout and stderr
 as <n>-<command>.stdout and .stderr and, after train and calibrate, a copy of
-the model file as <n>-<command>.model. Run it under two Pythons on the same inputs and
-compare the two directories with `diff -r`: every byte must be equal. Exits 1
+the model file as <n>-<command>.model. Run it twice on the same inputs (under
+two Pythons, or over two checkouts' src) and compare the two directories with
+`diff -r`: every byte must be equal. A --help counts as exit code 0. Exits 1
 if a command exits non-zero.
 """
 
@@ -32,14 +33,17 @@ def main() -> int:
     for n, argv in enumerate(commands):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli_main(argv)
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # argparse's --help exits with SystemExit(0)
+                code = exc.code
         if code != 0:
             print(f"{' '.join(argv)}: exit code {code}\n{stderr.getvalue()}", file=sys.stderr)
             return 1
         stem = out / f"{n:02d}-{argv[0]}"
         for suffix, text in ((".stdout", stdout), (".stderr", stderr)):
             stem.with_suffix(suffix).write_bytes(text.getvalue().encode("utf-8"))
-        if argv[0] in _MODEL_OPTION:
+        if _MODEL_OPTION.get(argv[0]) in argv:  # not after train --help
             shutil.copyfile(argv[argv.index(_MODEL_OPTION[argv[0]]) + 1],
                             stem.with_suffix(".model"))
     return 0

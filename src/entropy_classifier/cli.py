@@ -219,6 +219,7 @@ _COMMANDS = {
 def _build_parser(argv: list[str]) -> _Parser:
     """The parser, declaring only the command argv names, or every command when
     argv names none, so --help and an unknown command still list them all."""
+    # The module docstring is the top-level --help text; CI diffs it against the base.
     parser = _Parser(prog="entropy-classifier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:

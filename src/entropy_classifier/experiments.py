@@ -25,7 +25,10 @@ logreg.lr_measure_fpr for the LR.
 verify_tables recomputes aggregates from bundled golden recall tables and
 checks them against the expectations recorded in the files themselves. A
 table is line records (records.py): the `format_version 1` and `kind` header,
-an optional `labels` record third, then `row` and `expect` records.
+then `row` and `expect` records. A recall_pair table computes mean_a, mean_b,
+anova_f and anova_p. Only a recall_shift table may hold a `labels` record
+third (two names, default a b); it computes mean_change_<label> for each and
+the anova keys. An expect that names any other key is refused at its line.
 
 Both experiments and verify_table summarize through _summarize: the mean of
 each group, then a one-way ANOVA when every group holds at least 2 values. A
@@ -308,7 +311,6 @@ def render_table(report: EvalReport) -> str:
 @dataclass(frozen=True)
 class TableCheck:
     key: str
-    computed: float
     expected: float
     tol_kind: str
     tol: float
@@ -335,41 +337,53 @@ def bundled_golden_paths() -> list[Path]:
     return [root / "recall_entropy_ablation.txt", root / "recall_distribution_shift.txt"]
 
 
-def _parse_golden(path: Path):
-    """A golden table: the `kind` header record, an optional `labels` record
-    straight after it, then `row` and `expect` records in any order."""
-    label = f"table file {path}"
+def verify_table(path) -> TableReport:
+    """Recompute a golden table's aggregates, in one pass, and check its expectations."""
+    p = Path(path)
+    label = f"table file {p}"
 
     def bad(what: str) -> ValidationError:
         return ValidationError(f"{label}: {what}")
 
-    head, body = records.head(records.parse(records.read_text(path, label)), ("kind",), label)
+    head, body = records.head(records.parse(records.read_text(p, label)), ("kind",), label)
     kind = head["kind"].strip()
     if kind not in ("recall_pair", "recall_shift"):
         raise bad(f"unknown kind: {head['kind']!r}")
-    labels: tuple[str, str] = ("a", "b")
-    if body and body[0][1] == "labels":
+    shift = kind == "recall_shift"
+    labels: tuple[str, ...] = ("a", "b")
+    if shift and body and body[0][1] == "labels":
         (lineno, _, value), body = body[0], body[1:]
-        parts = value.split()
-        if len(parts) != 2 or parts[0] == parts[1]:
+        labels = tuple(value.split())
+        if len(labels) != 2 or labels[0] == labels[1]:
             raise bad(f"labels needs exactly two distinct names (line {lineno})")
-        labels = (parts[0], parts[1])
-    rows: list[tuple[str, tuple[float, ...]]] = []
+    # Each row adds a recall (recall_pair) or a fractional change (recall_shift) per label.
+    groups: dict[str, list[float]] = {
+        f"mean_change_{name}" if shift else f"mean_{name}": [] for name in labels}
+    known = (*groups, "anova_f", "anova_p")
+    warnings: list[str] = []
+    n_rows = 0
     expects: list[tuple[str, float, str, float]] = []
     for lineno, key, value in body:
         parts = value.split()
         if key == "row":
-            want = 3 if kind == "recall_pair" else 5
+            want = 5 if shift else 3
             if len(parts) != want:
                 raise bad(f"row needs {want} fields (line {lineno}): {value!r}")
-            values = tuple(records.to_float(label, f"recall on line {lineno}", v)
-                           for v in parts[1:])
+            values = [records.to_float(label, f"recall on line {lineno}", v) for v in parts[1:]]
             if any(not (0.0 <= v <= 1.0) for v in values):
                 raise bad(f"recall outside [0, 1] on line {lineno}: {value!r}")
-            rows.append((parts[0], values))
+            n_rows += 1
+            if shift:
+                for name, group, ra, rb in zip(labels, groups.values(), values[::2], values[1::2]):
+                    _add_fractional_change(group, ra, rb, f"{parts[0]}/{name}", warnings)
+            else:
+                for group, v in zip(groups.values(), values):
+                    group.append(v)
         elif key == "expect":
             if len(parts) != 4 or parts[2] not in ("abs", "rel"):
                 raise bad(f"malformed expect on line {lineno}: {value!r}")
+            if parts[0] not in known:
+                raise bad(f"unknown expect key {parts[0]!r} on line {lineno}")
             expected, tol = (records.to_float(label, f"expect on line {lineno}", v)
                              for v in (parts[1], parts[3]))
             if tol < 0.0:  # no value would pass
@@ -377,43 +391,24 @@ def _parse_golden(path: Path):
             expects.append((parts[0], expected, parts[2], tol))
         else:
             raise bad(f"unknown record {key!r} on line {lineno}")
-    if not rows:
+    if not n_rows:
         raise bad("no data rows")
-    return kind, labels, rows, expects
-
-
-def verify_table(path) -> TableReport:
-    """Recompute a golden table's aggregates and check its expectations."""
-    p = Path(path)
-    kind, labels, rows, expects = _parse_golden(p)
-    warnings: list[str] = []
-    if kind == "recall_pair":
-        groups = {"mean_a": [v[0] for _, v in rows], "mean_b": [v[1] for _, v in rows]}
-    else:
-        groups = {f"mean_change_{label}": [] for label in labels}
-        for name, v in rows:
-            for label, ra, rb in ((labels[0], v[0], v[1]), (labels[1], v[2], v[3])):
-                _add_fractional_change(groups[f"mean_change_{label}"], ra, rb,
-                                       f"{name}/{label}", warnings)
-    computed, anova = _summarize(groups, "fewer than 2 values per group: ANOVA omitted",
-                                 warnings)
+    try:  # a baseline recall near 0 makes a fractional change near 1 / baseline
+        if not all(math.isfinite(v) for values in groups.values() for v in values):
+            raise OverflowError
+        computed, anova = _summarize(groups, "fewer than 2 values per group: ANOVA omitted",
+                                     warnings)
+    except ArithmeticError:
+        raise bad("aggregates out of floating-point range") from None
     if anova is not None:
-        computed["anova_f"] = anova.f_stat
-        computed["anova_p"] = anova.p_value
-
-    checks = []
-    for key, expected, tol_kind, tol in expects:
-        got = computed.get(key, math.nan)
-        if tol_kind == "abs":
-            ok = abs(got - expected) <= tol
-        else:
-            ok = abs(got - expected) <= tol * abs(expected)
-        checks.append(TableCheck(key=key, computed=got, expected=expected,
-                                 tol_kind=tol_kind, tol=tol, passed=bool(ok)))
-    return TableReport(
-        path=str(p), kind=kind, n_rows=len(rows), computed=computed,
-        checks=tuple(checks), warnings=tuple(warnings),
-    )
+        computed.update(anova_f=anova.f_stat, anova_p=anova.p_value)
+    # An omitted ANOVA leaves its keys out of computed, and NaN fails both tests.
+    checks = tuple(
+        TableCheck(key, want, tol_kind, tol, passed=abs(computed.get(key, math.nan) - want)
+                   <= (tol if tol_kind == "abs" else tol * abs(want)))
+        for key, want, tol_kind, tol in expects)
+    return TableReport(path=str(p), kind=kind, n_rows=n_rows, computed=computed,
+                       checks=checks, warnings=tuple(warnings))
 
 
 def render_table_report(report: TableReport) -> str:

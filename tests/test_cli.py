@@ -1045,6 +1045,26 @@ class TestVerifyTablesCommand:
         assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "previous output\n"
         assert list(tmp_path.rglob(".*.tmp")) == []
 
+    @pytest.mark.parametrize("lines,message", [
+        (["kind recall_pair", "row a 0.2 0.4", "expect mean_x 0.45 abs 0.1"],
+         "unknown expect key 'mean_x' on line 4"),
+        (["kind recall_shift", "row a 0.1 0.2 0.3 0.4", "expect mean_a 0.1 abs 0.1"],
+         "unknown expect key 'mean_a' on line 4"),
+        (["kind recall_shift", "labels lr kb", "row a 0.1 0.2 0.3 0.4",
+          "expect mean_change_svm 0.1 abs 0.1"], "unknown expect key 'mean_change_svm' on line 5"),
+        (["kind recall_pair", "labels lr kb", "row a 0.2 0.4"],
+         "unknown record 'labels' on line 3"),
+    ])
+    def test_undeclared_key_exits_1(self, tmp_path, capsys, lines, message):
+        # After a table that passes: stdout stays empty, one error line names the line.
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("format_version 1\nkind recall_pair\nrow a 0.2 0.4\n", encoding="utf-8")
+        bad.write_text("\n".join(["format_version 1", *lines]) + "\n", encoding="utf-8")
+        rc = main(["verify-tables", "--golden-tables", str(good), "--golden-tables", str(bad)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == f"error: table file {bad}: {message}\n"
+
     def test_missing_table_is_io_error(self, tmp_path, capsys):
         rc = main(["verify-tables", "--golden-tables", str(tmp_path / "nope.txt")])
         assert rc == 2

@@ -363,15 +363,30 @@ class TestVerifyTable:
         rendered = render_table_report(report)
         assert "FAIL" in rendered
 
-    def test_unknown_expect_key_fails_not_errors(self, tmp_path):
+    def test_unknown_expect_key_is_refused(self, tmp_path):
+        # A key the table never computes can never pass: it is a malformed
+        # line, not a failed check.
         p = write_lines_file(tmp_path / "t.txt", [
             "format_version 1",
             "kind recall_pair",
             "row a 0.2 0.4",
             "expect bogus_key 0.5 abs 0.1",
         ])
+        with pytest.raises(ValidationError, match="unknown expect key 'bogus_key' on line 4"):
+            verify_table(p)
+
+    def test_omitted_anova_check_fails_with_warning(self, tmp_path):
+        p = write_lines_file(tmp_path / "t.txt", [
+            "format_version 1",
+            "kind recall_shift",
+            "row a 0.2 0.4 0.3 0.3",
+            "expect anova_p 0.5 abs 1",
+            "expect mean_change_a 1 abs 1e-9",
+        ])
         report = verify_table(p)
-        assert not report.all_passed
+        assert [(c.key, c.passed) for c in report.checks] == [("anova_p", False),
+                                                              ("mean_change_a", True)]
+        assert "fewer than 2 values per group: ANOVA omitted" in report.warnings
 
     def test_recall_shift_fc_and_zero_baseline_warning(self, tmp_path):
         p = write_lines_file(tmp_path / "t.txt", [
@@ -416,11 +431,68 @@ class TestVerifyTable:
           "expect mean_a 0.45 abs -0.1"], "negative tolerance on line 4: 'mean_a 0.45 abs -0.1'"),
         (["format_version 1", "kind recall_pair", "row a 0.45 0.2",
           "expect mean_a 0.45 rel inf"], "expect on line 4 must be finite"),
+        # The kind and the labels declare every key a table computes.
+        (["format_version 1", "kind recall_pair", "row a 0.45 0.2",
+          "expect mean_x 0.45 abs 0.1"], "unknown expect key 'mean_x' on line 4"),
+        (["format_version 1", "kind recall_shift", "row a 0.1 0.2 0.3 0.4",
+          "expect mean_a 0.1 abs 0.1"], "unknown expect key 'mean_a' on line 4"),
+        (["format_version 1", "kind recall_shift", "labels lr kb", "row a 0.1 0.2 0.3 0.4",
+          "expect mean_change_svm 0.1 abs 0.1"], "unknown expect key 'mean_change_svm' on line 5"),
+        (["format_version 1", "kind recall_pair", "labels lr kb", "row a 0.1 0.2"],
+         "unknown record 'labels' on line 3"),
+        # A baseline recall near 0 makes a fractional change near 1 / baseline:
+        # infinite, a mean that overflows, and an ANOVA whose squares overflow.
+        (["format_version 1", "kind recall_shift", "row a 5e-324 1 0.5 0.5",
+          "row b 0.5 0.5 0.5 0.6"], "aggregates out of floating-point range"),
+        (["format_version 1", "kind recall_shift", "row a 1e-308 1 0.5 0.5",
+          "row b 1e-308 1 0.5 0.6"], "aggregates out of floating-point range"),
+        (["format_version 1", "kind recall_shift", "row a 1e-200 1 0.5 0.5",
+          "row b 0.5 0.5 0.5 0.6"], "aggregates out of floating-point range"),
     ])
     def test_malformed_tables_rejected(self, tmp_path, lines, message):
         p = write_lines_file(tmp_path / "t.txt", lines)
         with pytest.raises(ValidationError, match=message):
             verify_table(p)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_expect_may_name_only_what_the_table_computes(self, fuzz_file, data):
+        shift = data.draw(st.booleans())
+        header = ["format_version 1", f"kind {'recall_shift' if shift else 'recall_pair'}"]
+        labels = ["a", "b"]
+        if shift and data.draw(st.booleans()):
+            labels = data.draw(st.lists(st.sampled_from(["a", "b", "lr", "kb", "svm"]),
+                                        min_size=2, max_size=2, unique=True))
+            header.append("labels " + " ".join(labels))
+        groups = [f"mean_change_{name}" if shift else f"mean_{name}" for name in labels]
+        declared = groups + ["anova_f", "anova_p"]
+        foreign = data.draw(st.sampled_from([
+            key for key in ("mean_a", "mean_b", "mean_change_a", "mean_change_lr",
+                            "mean_change_kb", "mean_x", "anova") if key not in declared]))
+        recall = st.floats(0.0, 1.0).map(repr)
+        rows = [" ".join(["row", f"r{i}", *data.draw(st.lists(
+                    recall, min_size=4 if shift else 2, max_size=4 if shift else 2))])
+                for i in range(data.draw(st.integers(1, 4)))]
+        expect = st.tuples(st.sampled_from(declared + [foreign]), st.floats(-2.0, 2.0),
+                           st.sampled_from(["abs", "rel"]), st.floats(0.0, 1.0))
+        expects = [f"expect {key} {expected!r} {kind} {tol!r}"
+                   for key, expected, kind, tol in data.draw(st.lists(expect, max_size=4))]
+        lines = header + data.draw(st.permutations(rows + expects))
+        write_lines_file(fuzz_file, lines)
+        bad = [n for n, line in enumerate(lines, start=1)
+               if line.startswith(f"expect {foreign} ")]
+        if bad:
+            with pytest.raises(ValidationError,
+                               match=f"unknown expect key '{foreign}' on line {bad[0]}$"):
+                verify_table(fuzz_file)
+        else:
+            try:
+                report = verify_table(fuzz_file)
+            except ValidationError as exc:  # the rows' refusal, never an expect's
+                assert str(exc).endswith(": aggregates out of floating-point range")
+            else:
+                assert [c.key for c in report.checks] == [line.split()[1] for line in lines
+                                                          if line.startswith("expect ")]
 
     @given(st.binary(max_size=300))
     @settings(max_examples=150, deadline=None)
