@@ -11,12 +11,12 @@ corpora, and _design_matrix remaps the table ids to feature ids and divides
 each row by its word count. Training is full-batch gradient descent on the
 mean logistic loss plus (l2/2)||w||^2 with the intercept unregularized: no
 shuffling, no adaptive rates, so identical inputs give identical weights bit
-for bit. Each epoch calls logistic_gradient and logistic_loss once; the loss
-at the new weights and the next epoch's gradient share one product X @ w
-(_EpochMatrix), whose X.T is a CSC view of X when features outnumber
-documents (as exp2's few positives make it on real text) and a CSR transpose
-made once otherwise. The loss takes one logaddexp per row, its sign set by
-the 0/1 label, and the sigmoid one exp(-|z|).
+for bit. An epoch is one logistic_gradient call, two sparse products X @ w
+and X.T @ r (_EpochMatrix): X.T is a CSC view of X when features outnumber
+documents (as exp2's few positives make it on real text), else a CSR
+transpose made once. logistic_loss runs only when a bound on the new weights
+(_loss_surely_finite) cannot rule out divergence. The loss takes one
+logaddexp per row, its sign set by the 0/1 label, the sigmoid one exp(-|z|).
 
 A corpus is scored as one product, _design_matrix(docs) @ w + intercept, the
 same product training takes (lr_logit), with the docs encoded straight over
@@ -193,30 +193,32 @@ def logistic_gradient(w: np.ndarray, intercept: float, X: sparse.csr_matrix,
 
 
 class _EpochMatrix:
-    """train_lr's design matrix as logistic_loss and logistic_gradient use it.
-    T is scipy's CSC view of X's own arrays when features outnumber documents
-    (a scatter over documents), else one CSR copy of X.T (a sum per feature):
-    each adds a feature's terms in document order from 0.0, so both give the
-    same bits. The last product X @ w is kept for as long as w is the same
-    array. The loop binds a new w every epoch and never writes into one, so
-    the loss at w and the next epoch's gradient at w share one product."""
+    """train_lr's design matrix as logistic_gradient uses it. T is scipy's
+    CSC view of X's own arrays when features outnumber documents (a scatter
+    over documents), else one CSR copy of X.T (a sum per feature): each adds a
+    feature's terms in document order from 0.0, so both give the same bits."""
 
     def __init__(self, X: sparse.csr_matrix):
         self._X = X
         self.T = X.T if X.shape[1] > X.shape[0] else X.T.tocsr()
-        self._w = self._product = None
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        if w is not self._w:
-            self._w, self._product = w, self._X @ w
-        return self._product
+        return self._X @ w
+
+
+def _loss_surely_finite(w: np.ndarray, intercept: float, n: int, l2: float) -> bool:
+    """True when logistic_loss at (w, intercept) is finite on any n rows of _design_matrix
+    (entries >= 0, each row's sum <= 1): |z| <= |intercept| + sqrt(w . w), a row's loss is
+    at most |z| + ln 2, and a nan or inf fails both tests. False decides nothing."""
+    ww = float(w @ w)
+    return abs(intercept) + math.sqrt(ww) < 1e299 / n and 0.5 * l2 * ww < 1e300
 
 
 def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()) -> LrModel:
     """Full-batch gradient descent from zero weights for a fixed epoch count.
 
     A diverging run overflows silently and is reported once, as a
-    ValidationError, when its loss is no longer finite.
+    ValidationError, at the first epoch whose loss is not finite.
     """
     import numpy as np
     from scipy import sparse
@@ -242,17 +244,13 @@ def train_lr(positives: Corpus, negatives: Corpus, params: LrParams = LrParams()
             grad_w, grad_b = logistic_gradient(w, intercept, X, y, params.l2)
             w = w - params.learning_rate * grad_w
             intercept = intercept - params.learning_rate * grad_b
-            loss = logistic_loss(w, intercept, X, y, params.l2)
-            if not math.isfinite(loss):
+            if (not _loss_surely_finite(w, intercept, len(y), params.l2)
+                    and not math.isfinite(logistic_loss(w, intercept, X, y, params.l2))):
                 raise ValidationError(
                     f"LR training diverged at epoch {epoch + 1} (loss is not finite); "
                     "try a smaller learning rate"
                 )
-    return LrModel(
-        vocabulary=vocab,
-        weights=np.append(w, intercept),
-        threshold_bias=0.0,
-    )
+    return LrModel(vocab, np.append(w, intercept))
 
 
 def lr_logit(model: LrModel, docs) -> list[float]:

@@ -92,11 +92,12 @@ class AnovaResult:
 
 
 def one_way_anova(groups) -> AnovaResult:
-    """Standard one-way ANOVA over >= 2 groups of >= 2 values each.
+    """Standard one-way ANOVA over >= 2 groups of >= 2 finite values each.
 
     SSW = 0 (every group internally constant, but groups differ) is reported
     as F = inf, for which f_sf gives p = 0, rather than an error, since it is
-    a legitimate extreme of real data.
+    a legitimate extreme of real data. nan and inf are a ValidationError; finite
+    values that overflow raise OverflowError (verify_table's range refusal).
     """
     groups = [list(map(float, g)) for g in groups]
     if len(groups) < 2:
@@ -104,6 +105,9 @@ def one_way_anova(groups) -> AnovaResult:
     if any(len(g) < 2 for g in groups):
         raise ValidationError("every ANOVA group needs at least 2 values")
     all_values = [v for g in groups for v in g]
+    for v in all_values:
+        if not math.isfinite(v):
+            raise ValidationError(f"ANOVA values must be finite, got {v}")
     if all(v == all_values[0] for v in all_values):
         raise ValidationError("ANOVA is undefined when all values are identical")
 

@@ -8,12 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from entropy_classifier import logreg
 from entropy_classifier.errors import ValidationError
 from entropy_classifier.logreg import (
     LrModel,
     LrParams,
     _design_matrix,
     _EpochMatrix,
+    _loss_surely_finite,
     _sigmoid_vec,
     build_vocabulary,
     calibrate_lr_threshold,
@@ -262,6 +264,99 @@ class TestEpochMatrixTranspose:
         assert (T @ r).tobytes() == (X.T.tocsr() @ r).tobytes()
 
 
+def _magnitudes():
+    """Every scale of float, the bound's 1e299 / n among them, +-inf and nan."""
+    finite = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-320, 308))
+    return st.one_of(finite, st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def bound_cases(draw):
+    """(design matrix, labels, weights, intercept, l2): the matrix comes from
+    _design_matrix over drawn documents and a vocabulary that may be empty.
+    An l2 of 1e10 lets the penalty overflow while the logits stay finite."""
+    vocab = {t: i for i, t in enumerate(draw(st.lists(st.sampled_from("abcd"), unique=True)))}
+    texts = draw(st.lists(st.lists(st.sampled_from("abcdz"), max_size=12), min_size=1,
+                          max_size=6))
+    X = _design_matrix([Document.from_text(f"d{i}", " ".join(t)) for i, t in enumerate(texts)],
+                       vocab)
+    n = X.shape[0]
+    near_bound = st.floats(0.25, 1.5).map(lambda f: f * 1e299 / n)
+    value = st.one_of(_magnitudes(), near_bound, near_bound.map(lambda v: -v))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(value, min_size=len(vocab), max_size=len(vocab))), dtype=float)
+    return X, y, w, draw(value), draw(st.sampled_from([0.0, 1e-4, 1.0, 1e10]))
+
+
+def one_word_case(w, intercept, l2):
+    """A single document "a" over the vocabulary {a}: its row is [1.0], so
+    its logit is w[0] + intercept exactly."""
+    X = _design_matrix([Document.from_text("d", "a")], {"a": 0})
+    return X, np.array([0.0]), np.array([w]), intercept, l2
+
+
+class TestLossBound:
+    @settings(max_examples=500, deadline=None)
+    @given(bound_cases())
+    # Just under the bound, in the intercept and in the penalty.
+    @example(one_word_case(0.0, -math.nextafter(1e299, 0), 1.0))
+    @example(one_word_case(math.sqrt(1.99e300), 0.0, 1.0))
+    # A weight past about 1.3e154 overflows w . w, which fails the bound.
+    @example(one_word_case(math.nextafter(1e299, 0), 0.0, 0.0))
+    @example(one_word_case(0.5e299, 0.49e299, 0.0))
+    # Only the penalty overflows.
+    @example(one_word_case(1e150, 0.0, 1e10))
+    @example(one_word_case(math.nan, 0.0, 0.0))
+    @example(one_word_case(0.0, math.inf, 1e-4))
+    def test_a_passing_bound_means_a_finite_loss(self, case):
+        X, y, w, intercept, l2 = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            if _loss_surely_finite(w, intercept, len(y), l2):
+                assert math.isfinite(logistic_loss(w, intercept, X, y, l2))
+
+    def test_a_failing_bound_leaves_the_decision_to_the_loss(self):
+        # Past the bound but finite: the logit is 1e300 and the loss 1e300.
+        X, y, w, intercept, l2 = one_word_case(0.0, 1e300, 0.0)
+        assert not _loss_surely_finite(w, intercept, len(y), l2)
+        assert logistic_loss(w, intercept, X, y, l2) == 1e300
+
+
+def counting(monkeypatch, name):
+    """Replace logreg.<name> with a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(logreg, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(logreg, name, wrapper)
+    return calls
+
+
+class TestEpochCalls:
+    """The benchmark tracer counts epochs by patching logreg.logistic_gradient
+    and times the loss by patching logreg.logistic_loss."""
+
+    def test_one_gradient_and_no_loss_per_converging_epoch(self, monkeypatch):
+        gradients, losses = (counting(monkeypatch, n)
+                             for n in ("logistic_gradient", "logistic_loss"))
+        pos, neg = make_training_corpora()
+        train_lr(pos, neg, LrParams(epochs=25))
+        assert (len(gradients), len(losses)) == (25, 0)
+
+    def test_a_diverging_run_computes_the_loss_and_stops_at_its_epoch(self, monkeypatch):
+        pos, neg = make_training_corpora()
+        params = LrParams(l2=1.0, epochs=200, learning_rate=1e9)
+        _, epoch = train_lr_reference(pos, neg, params)
+        gradients, losses = (counting(monkeypatch, n)
+                             for n in ("logistic_gradient", "logistic_loss"))
+        with pytest.raises(ValidationError, match=rf"diverged at epoch {epoch} \("):
+            train_lr(pos, neg, params)
+        assert len(gradients) == epoch
+        assert 1 <= len(losses) <= epoch
+
+
 class TestTrainLr:
     def test_learns_separable_toy(self):
         pos, neg = make_training_corpora()
@@ -298,11 +393,12 @@ class TestTrainLr:
         LrParams(l2=0.3, epochs=25, learning_rate=0.05),
     ])
     def test_weights_equal_the_plain_loop(self, params):
-        # train_lr shares one X @ w between an epoch's loss and the next
-        # gradient; a stale product would change the weights. Its X.T is a
-        # CSC view of a wide matrix (the toy) and a CSR transpose of a tall
-        # one, while the reference always takes the bare matrix's CSC view:
-        # both layouts must give the same bits.
+        # train_lr computes each X @ w afresh and decides divergence from a
+        # bound that only reads the weights: a product reused across an
+        # update, or a bound check that wrote into w, would change the
+        # weights. Its X.T is a CSC view of a wide matrix (the toy) and a CSR
+        # transpose of a tall one, while the reference always takes the bare
+        # matrix's CSC view: both layouts must give the same bits.
         for make, shape in [(make_training_corpora, (8, 11)), (make_tall_corpora, (40, 6))]:
             pos, neg = make()
             docs = list(pos) + list(neg)

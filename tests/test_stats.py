@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropy_classifier.errors import ValidationError
 from entropy_classifier.stats import (
@@ -137,6 +139,34 @@ class TestOneWayAnova:
             one_way_anova([[1.0, 2.0]])
         with pytest.raises(ValidationError, match="at least 2 values"):
             one_way_anova([[1.0, 2.0], [3.0]])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("groups", [
+        [[0.0, "bad"], [0.0, 1.0]],
+        [[0.0, 1.0], [2.0, 3.0, "bad"]],
+        [["bad", "bad"], ["bad", "bad"]],
+    ])
+    def test_non_finite_value_rejected(self, bad, groups):
+        # Before any sum: an inf or nan used to reach f_sf as a nan F.
+        groups = [[bad if v == "bad" else v for v in g] for g in groups]
+        with pytest.raises(ValidationError, match=f"ANOVA values must be finite, got {bad}"):
+            one_way_anova(groups)
+
+    def test_overflowing_finite_values_raise_overflow(self):
+        # verify_table turns this into its floating-point range refusal.
+        with pytest.raises(OverflowError):
+            one_way_anova([[0.0, 1e200], [0.0, 1.0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=2, max_size=5), min_size=2, max_size=4))
+    def test_finite_values_give_a_result_or_a_documented_error(self, groups):
+        try:
+            res = one_way_anova(groups)
+        except (ValidationError, OverflowError):
+            return
+        assert res.f_stat >= 0
+        assert 0.0 <= res.p_value <= 1.0
 
 
 class TestRecall:
