@@ -13,8 +13,9 @@ Since a position with no match only advances by one token, Matcher.profile
 visits just the positions whose token begins some phrase (a key of the trie's
 root) and that the previous match did not consume; skipping the others
 changes no result. A document holding no such token (most background and
-negative documents) gets its empty profile from one set-level isdisjoint test,
-with no per-token scan; Matcher.profile still runs once per document.
+negative documents) is settled by one set-level isdisjoint test, with no
+per-token scan; Matcher.profile still runs once per document, and every
+document that matches no phrase shares the one read-only profile _NO_MATCH.
 
 A glossary owns its caches: its digest and its compiled Matcher are computed
 on first use and stored on the instance; the Matcher keeps, weakly keyed by
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
+from types import MappingProxyType
 
 from . import records
 from .errors import ValidationError
@@ -87,11 +89,15 @@ class MatchProfile:
     builds it, and total_matches is the sum of its counts. The scoring kernel
     reads tf once in that order and does not sort it, so the order fixes the
     summation order of every score. A dataclass, not a named tuple, so that
-    a profile can be weakly referenced.
+    a profile can be weakly referenced. A document with no match gets the
+    shared _NO_MATCH, whose tf is a read-only mapping: no tf may be modified.
     """
 
-    tf: dict[int, int]
+    tf: dict[int, int] | MappingProxyType
     total_matches: int
+
+
+_NO_MATCH = MatchProfile(tf=MappingProxyType({}), total_matches=0)
 
 
 def make_glossary(category: str, phrases) -> Glossary:
@@ -151,7 +157,7 @@ class Matcher:
         n = len(tokens)
         if starts is None:
             if self._heads.isdisjoint(tokens):
-                return MatchProfile(tf=tf, total_matches=0)
+                return _NO_MATCH
             starts = compress(range(n), map(root.__contains__, tokens))
         end = 0  # first position not consumed by the previous match
         for i in starts:
@@ -170,6 +176,8 @@ class Matcher:
                 node = node.get(tokens[j])
             if best_id is not None:
                 tf[best_id] = tf.get(best_id, 0) + 1
+        if not tf:
+            return _NO_MATCH
         return MatchProfile(tf=dict(sorted(tf.items())), total_matches=sum(tf.values()))
 
 

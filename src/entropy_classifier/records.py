@@ -119,14 +119,16 @@ def write_text(path, text: str) -> None:
 
 @contextlib.contextmanager
 def staged(path, text: str):
-    """Write text to the file at path (None: stdout) once the with-block ends
-    without an exception. Before the block runs, the text is encoded and
-    written to a temp file beside the target (a device or pipe such as
-    /dev/stdout is opened instead, to be written in place), so a fault in
+    """Write text to the file at path (None: stdout, then flush it) once the
+    with-block ends without an exception. Before the block runs, the text is
+    encoded and written to a temp file beside the target (a device or pipe such
+    as /dev/stdout is opened instead, to be written in place), so a fault in
     either is raised before the block writes anything."""
     if path is None:
         yield
-        sys.stdout.write(text)
+        with _writing("stdout"):
+            sys.stdout.write(text)
+            sys.stdout.flush()
         return
     try:
         data = text.encode("utf-8")

@@ -116,13 +116,16 @@ def _score_profile(tf: MatchProfile, word_count: int, idf: dict[int, float], k: 
     """The scoring kernel: (L, per_keyword, tfidf_over_L, entropy, raw score).
 
     The only code that computes the raw score. Plain values, no breakdown
-    object, but a per-keyword dict for every document, on bulk paths too. It
-    reads tf once, in the ascending id order that MatchProfile guarantees, so
-    every sum runs over ascending keyword ids. L >= k >= 1 and every matched id
-    has an idf: model.py checks both; raw_score and standardized_scores check
-    the glossary, and training derives idf from the glossary it matches with.
+    object. A profile with no match returns at once: an empty dict and +0.0
+    for each sum, as the loop gives. Otherwise it reads tf once, in the
+    ascending id order that MatchProfile guarantees, so every sum runs over
+    ascending keyword ids. L >= k >= 1 and every matched id has an idf:
+    model.py checks both; raw_score and standardized_scores check the
+    glossary, and training derives idf from the glossary it matches with.
     """
     L = max(k, word_count)
+    if not tf.total_matches:
+        return L, {}, 0.0, 0.0, 0.0  # what the folds below give, +0.0 each
     contributions = {}
     tfidf_over_L = 0.0  # a left fold, as in _entropy
     for kid, n in tf.tf.items():

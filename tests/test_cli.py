@@ -1,15 +1,20 @@
 import argparse
+import errno
 import io
+import os
 import random
 import stat
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from entropy_classifier import cli
 from entropy_classifier.cli import main
 from entropy_classifier.model import load_model
+from entropy_classifier.records import format_float
 
 from conftest import (
     WRITE_FAULTS,
@@ -1068,6 +1073,84 @@ class TestVerifyTablesCommand:
     def test_missing_table_is_io_error(self, tmp_path, capsys):
         rc = main(["verify-tables", "--golden-tables", str(tmp_path / "nope.txt")])
         assert rc == 2
+
+
+class _FullStdout:
+    """A stdout on a full disk: its write fails, or, as a buffered stream's
+    does, only its flush."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestStdoutWriteFault:
+    """A stdout report that cannot be written exits 2 with one error line that
+    names stdout, as an --output file that cannot be written does."""
+
+    FULL = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    @staticmethod
+    def argv(ws, command):
+        if command == "verify-tables":
+            return [command]
+        if command in ("exp1", "exp2"):
+            (ws / "exp").mkdir()
+            exp = build_exp_workspace(ws / "exp")
+            positives = ["p0.txt", "p0b.txt"] if command == "exp2" else ["p0.txt"]
+            return [command, "--background", str(exp / "bg.txt"),
+                    "--negatives", str(exp / "negs.txt"), "--category", "cat0",
+                    *(str(exp / name) for name in ["g0.txt", *positives]),
+                    "--target-fpr", "0.1", "--k", "10"]
+        run_train(ws)
+        return [command, *(str(a) for flag, name in TestTwoFaultPrecedence.BASE[command].items()
+                           if flag != "--output" for a in (flag, ws / name))]
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("command",
+                             ["calibrate", "score", "evaluate", "exp1", "exp2", "verify-tables"])
+    def test_exits_2_with_one_error_line(self, workspace, capsys, monkeypatch, command, failing):
+        argv = self.argv(workspace, command)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == self.FULL
+
+    def test_calibrate_leaves_the_bias_a_rerun_writes(self, workspace, capsys, monkeypatch):
+        # The report goes to stdout after the model's bias is rewritten, so the
+        # model keeps the new bias; a rerun calibrates the same one.
+        argv = self.argv(workspace, "calibrate")
+        trained = (workspace / "model.txt").read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", _FullStdout("flush"))
+            assert main(argv) == 2
+        failed = (workspace / "model.txt").read_bytes()
+        assert failed != trained
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert (workspace / "model.txt").read_bytes() == failed
+        bias = load_model(workspace / "model.txt").bias
+        assert capsys.readouterr().out.startswith(f"bias {format_float(bias)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device_in_a_fresh_interpreter(self):
+        # The interpreter's own stdout: main's exit code and its one line, with
+        # no second error from the flush at exit (which would exit 120).
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "entropy_classifier.cli", "verify-tables"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert (done.returncode, done.stderr) == (2, self.FULL)
 
 
 COMMANDS = ["train", "calibrate", "score", "evaluate", "exp1", "exp2", "verify-tables"]

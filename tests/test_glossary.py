@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from entropy_classifier.errors import ValidationError
 from entropy_classifier.glossary import (
+    _NO_MATCH,
     Glossary,
     Matcher,
     _match_corpora,
@@ -273,3 +274,71 @@ class TestMatchCorpus:
         for g in glossaries:
             got = [profile.tf for _, profile in match_corpus(g, corpus)]
             assert got == [naive_match(g.phrases, tokens) for tokens in docs]
+
+
+def assert_oracle_profile(profile, naive):
+    """The shared _NO_MATCH exactly when nothing matches, else the oracle's counts."""
+    if naive:
+        assert profile is not _NO_MATCH
+        assert profile.tf == naive
+        assert list(profile.tf) == sorted(naive)
+        assert profile.total_matches == sum(naive.values())
+    else:
+        assert profile is _NO_MATCH
+
+
+class TestNoMatchProfile:
+    """Every document that matches no phrase gets the one shared profile."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_exactly_when_the_oracle_finds_nothing(self, data):
+        # Every phrase starts with a head; a phrase of two or more tokens goes
+        # on with tails only, so a head followed by filler completes none of
+        # them. A glossary may also hold a one-token phrase.
+        filler, heads, tails = ["x", "y"], ["a", "b"], ["a", "c"]
+        long_phrase = st.tuples(st.sampled_from(heads),
+                                st.lists(st.sampled_from(tails), min_size=1, max_size=2))
+        glossaries = [make_glossary(f"g{i}", data.draw(
+            st.sets(long_phrase.map(lambda t: (t[0], *t[1])), min_size=1, max_size=5)
+            | st.sets(st.sampled_from(heads).map(lambda h: (h,)), max_size=1)))
+            for i in range(2)]
+        kinds = st.one_of(
+            st.lists(st.sampled_from(filler), max_size=20),  # head-free
+            # heads, but no whole phrase of two or more tokens
+            st.lists(st.tuples(st.sampled_from(heads), st.sampled_from(filler)),
+                     min_size=1, max_size=10).map(lambda pairs: [t for p in pairs for t in p]),
+            st.lists(st.sampled_from(filler + heads + tails), min_size=1, max_size=20),  # dense
+        )
+        docs = data.draw(st.lists(kinds, min_size=1, max_size=6))
+        for tokens in docs:
+            for g in glossaries:
+                assert_oracle_profile(Matcher(g).profile(tuple(tokens)),
+                                      naive_match(g.phrases, tokens))
+        corpus = corpus_from_texts([" ".join(tokens) for tokens in docs])
+        _match_corpora(glossaries, corpus)
+        for g in glossaries:
+            for tokens, (_, profile) in zip(docs, match_corpus(g, corpus), strict=True):
+                assert_oracle_profile(profile, naive_match(g.phrases, tokens))
+
+    def test_both_exits_return_it(self):
+        g = make_glossary("x", [("a", "b")])
+        assert match(g, ["x", "y"]) is _NO_MATCH  # no head: the isdisjoint exit
+        assert match(g, ["a", "x"]) is _NO_MATCH  # a head, no phrase: the scan's exit
+        assert match(g, ["a", "b"]) is not _NO_MATCH
+
+    def test_is_read_only(self):
+        with pytest.raises(TypeError):
+            _NO_MATCH.tf[0] = 1
+        assert _NO_MATCH.tf == {}
+        assert _NO_MATCH.total_matches == 0
+
+    def test_one_profile_call_per_document_and_glossary(self, monkeypatch):
+        # Sharing the profile saves no call: the benchmark counts one per pair.
+        glossaries = [make_glossary("g0", [("a", "b")]), make_glossary("g1", [("c",)])]
+        corpus = corpus_from_texts(["x y", "a x", "a b c", ""])
+        calls = count_match_calls(monkeypatch)
+        _match_corpora(glossaries, corpus)
+        assert calls == [len(corpus) * len(glossaries)]
+        assert [p is _NO_MATCH for _, p in match_corpus(glossaries[0], corpus)] == [
+            True, True, False, True]

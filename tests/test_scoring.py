@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from entropy_classifier.background import train
 from entropy_classifier.errors import ValidationError
-from entropy_classifier.glossary import Glossary, MatchProfile, make_glossary, match_corpus
+from entropy_classifier.glossary import (
+    _NO_MATCH,
+    Glossary,
+    MatchProfile,
+    make_glossary,
+    match_corpus,
+)
 from entropy_classifier.model import BackgroundModel
 from entropy_classifier.scoring import (
     ScoreBreakdown,
@@ -118,6 +124,19 @@ class TestSameBitsOnEveryPython:
         assert tfidf_over_L.hex() == naive_abundance(tf.tf, idf, 1, 1).hex()
         assert entropy.hex() == naive_entropy(tf.tf).hex()
         assert raw.hex() == (entropy * tfidf_over_L).hex()
+
+    @given(st.integers(min_value=1, max_value=2**62), st.integers(min_value=0, max_value=2**62),
+           st.dictionaries(st.integers(min_value=0, max_value=20),
+                           st.floats(min_value=0.0, max_value=50.0)))
+    @settings(max_examples=200)
+    def test_no_match_is_positive_zero(self, k, word_count, idf):
+        # The kernel returns at once for the shared no-match profile, with the
+        # +0.0 that the folds from 0.0 would give; math.copysign shows the sign.
+        L, per_keyword, tfidf_over_L, entropy, raw = _score_profile(_NO_MATCH, word_count, idf, k)
+        assert (L, per_keyword) == (max(k, word_count), {})
+        assert per_keyword is not _score_profile(_NO_MATCH, word_count, idf, k)[1]
+        for x in (tfidf_over_L, entropy, raw):
+            assert x == 0.0 and math.copysign(1.0, x) == 1.0
 
     def test_signed_zero_entropies(self):
         # score prints a single species' entropy as -0 and no match's as 0.
@@ -247,8 +266,11 @@ class TestCacheLifetime:
         corpus = corpus_from_texts(BACKGROUND_TEXTS)
         model = train(glossary, corpus)
         assert all(b.raw_score >= 0 for b in score_corpus(corpus, glossary, model))
-        # Training cached the corpus's match list; it goes with the corpus.
-        profile = weakref.ref(match_corpus(glossary, corpus)[-1][1])
+        # Training cached the corpus's match list; it goes with the corpus. A
+        # document that matches nothing shares glossary._NO_MATCH, which lives
+        # as long as the module, so the profile watched is one that matched.
+        profile = weakref.ref(next(p for _, p in match_corpus(glossary, corpus)
+                                   if p.total_matches))
         del corpus
         gc.collect()
         assert profile() is None
